@@ -11,8 +11,6 @@ object.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
 from .errors import DimensionMismatchError, NonConvergenceError
@@ -20,8 +18,6 @@ from .errors import DimensionMismatchError, NonConvergenceError
 __all__ = [
     "OperatorBlock",
     "BlockVector",
-    "block_compose",
-    "block_adjoint",
     "inner",
     "singular_values",
     "singular_triples",
@@ -188,15 +184,6 @@ class BlockVector:
         return f"BlockVector(size={self.size}, d={self.dim})"
 
 
-def block_compose(a: OperatorBlock, b: OperatorBlock) -> OperatorBlock:
-    """Composition ``a after b``; not commutative."""
-    return a.compose(b)
-
-
-def block_adjoint(a: OperatorBlock) -> OperatorBlock:
-    return a.adjoint()
-
-
 def singular_values(m: np.ndarray) -> np.ndarray:
     """Singular values of a complex matrix, descending.
 
@@ -227,19 +214,3 @@ def singular_triples(m: np.ndarray):
         return np.linalg.svd(m, compute_uv=True)
     except np.linalg.LinAlgError as exc:
         raise NonConvergenceError(30 * max(m.shape), "singular triples") from exc
-
-
-def as_block(value, d: int) -> OperatorBlock:
-    """Coerce ``value`` (block, matrix, or scalar) to an OperatorBlock."""
-    if isinstance(value, OperatorBlock):
-        if value.dim != d:
-            raise DimensionMismatchError((value.dim,) * 2, (d, d), "block coercion")
-        return value
-    arr = np.asarray(value, dtype=complex)
-    if arr.ndim == 0:
-        return OperatorBlock(np.eye(d) * arr)
-    return OperatorBlock(arr)
-
-
-def stack_blocks(blocks: Iterable[OperatorBlock]) -> np.ndarray:
-    return np.stack([b.matrix for b in blocks])

@@ -1,11 +1,11 @@
 """Operator norms, certified estimates, and multiplier lower bounds.
 
 Every estimator states what it computed.  A :class:`NormEstimate`
-carries the value, the computation kind (exact decomposition, power
-iteration, or sampled lower bound), and where available a certificate:
-a vector or matrix that witnesses the value within the stated
-tolerance.  Multiplier norms are never reported as exact; only sampled
-lower bounds and analytic upper bounds are ever claimed.
+carries the value, the computation kind (exact decomposition,
+Lanczos, power iteration, or sampled lower bound), and where available
+a certificate: a vector or matrix that witnesses the value within the
+stated tolerance.  Multiplier norms are never reported as exact; only
+sampled lower bounds and analytic upper bounds are ever claimed.
 """
 
 from __future__ import annotations
@@ -18,7 +18,16 @@ import numpy as np
 from .blocks import BlockVector, singular_triples
 from .errors import NonConvergenceError
 from .kernels import modulation_mask
-from .matrices import BlockMatrix, random_dense, random_vector, rank_one, schur_product
+from .matrices import (
+    DENSE,
+    BlockMatrix,
+    adjoint,
+    apply,
+    random_dense,
+    random_vector,
+    rank_one,
+    schur_product,
+)
 
 __all__ = [
     "EXACT_SVD_LIMIT",
@@ -46,10 +55,11 @@ SUP_GRID_CAP = 2**16
 class NormEstimate:
     """A norm value together with how it was obtained.
 
-    ``kind`` is one of ``exact_svd``, ``power_iteration`` or
-    ``sampled_lower_bound``.  The certificate, when present, is a unit
-    :class:`BlockVector` (or a descriptor of a witness matrix) that
-    achieves the value within the tolerance of the kind.
+    ``kind`` is one of ``exact_svd``, ``lanczos``, ``power_iteration``
+    or ``sampled_lower_bound``; ``iterations`` counts the products with
+    ``A* A`` of the iterative kinds.  The certificate, when present, is
+    a unit :class:`BlockVector` (or a descriptor of a witness matrix)
+    that achieves the value within the tolerance of the kind.
     """
 
     value: float
@@ -110,24 +120,105 @@ def op_norm(a: BlockMatrix, seed: int = 0) -> NormEstimate:
     """Operator norm of the truncation, with a maximizing certificate.
 
     Uses the exact decomposition of the flattened matrix when its side
-    is at most ``EXACT_SVD_LIMIT``; beyond that, seeded power iteration
-    at relative tolerance ``POWER_TOLERANCE``, falling back to the
-    exact path if the iteration stalls on a feasible size.
+    is at most ``EXACT_SVD_LIMIT``.  Beyond that, seeded Lanczos on
+    ``A* A`` (kind ``lanczos``): banded and toeplitz matrices are driven
+    by :func:`apply` on the matrix and its adjoint and never densified,
+    dense ones by products with their flattening.  The value is ``|A v|``
+    for the unit certificate ``v``, at relative tolerance
+    ``POWER_TOLERANCE``.  If ``min(flat_size, EXACT_SVD_LIMIT)`` Krylov
+    steps do not converge, the exact path is taken up to side
+    ``8 * EXACT_SVD_LIMIT``.
+
+    Raises
+    ------
+    NonConvergenceError
+        When Lanczos stalls on a larger matrix.
     """
-    flat = a.flatten()
     if a.flat_size <= EXACT_SVD_LIMIT:
-        return _exact_estimate(a, flat)
+        return _exact_estimate(a, a.flatten())
+    if a.structure == DENSE:
+        flat = a.flatten()
+
+        def forward(x):
+            return flat @ x
+
+        def backward(y):
+            return (y.conj() @ flat).conj()
+    else:
+        a_star = adjoint(a)
+
+        def forward(x):
+            return apply(a, BlockVector.from_flat(x, a.dim)).flatten()
+
+        def backward(y):
+            return apply(a_star, BlockVector.from_flat(y, a.dim)).flatten()
+
+    steps = min(a.flat_size, EXACT_SVD_LIMIT)
     try:
-        value, vector, iterations = power_iteration(flat, seed=seed)
+        value, vector, iterations = _lanczos(forward, backward, a.flat_size, seed, steps)
     except NonConvergenceError:
         if a.flat_size <= 8 * EXACT_SVD_LIMIT:
-            return _exact_estimate(a, flat)
+            return _exact_estimate(a, a.flatten())
         raise
     certificate = BlockVector.from_flat(vector, a.dim)
     return NormEstimate(
-        value=value, kind="power_iteration", certificate=certificate,
-        iterations=iterations,
+        value=value, kind="lanczos", certificate=certificate, iterations=iterations,
     )
+
+
+def _lanczos(
+    forward, backward, n: int, seed: int, steps: int
+) -> tuple[float, np.ndarray, int]:
+    """Top singular value of ``A`` by Lanczos on ``A* A``.
+
+    ``forward`` and ``backward`` apply ``A`` and ``A*`` to flat vectors
+    of length ``n``.  Every new Krylov vector is orthogonalized twice
+    against the whole basis; in exact arithmetic the Ritz values are the
+    squares of those of Golub-Kahan bidiagonalization from the same
+    seeded start vector.  Stops on the residual
+    ``|A* A v - theta v| = beta_k |e_k^T y|`` of the top Ritz pair,
+    with power iteration's rule ``<= 0.1 * POWER_TOLERANCE * theta``,
+    or on breakdown (``beta = 0``: the Krylov space is invariant).
+    Returns ``(|A v|, v, steps taken)`` for the unit Ritz vector ``v``.
+
+    Raises
+    ------
+    NonConvergenceError
+        When ``steps`` Krylov steps do not converge; carries ``steps``.
+    """
+    rng = np.random.default_rng(seed)
+    q = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    q /= np.linalg.norm(q)
+    basis = np.empty((min(steps, 16), n), dtype=complex)
+    alphas: list[float] = []
+    betas: list[float] = []
+    residual_tol = 0.1 * POWER_TOLERANCE
+    for k in range(steps):
+        if k == len(basis):
+            grown = np.empty((min(2 * k, steps), n), dtype=complex)
+            grown[:k] = basis
+            basis = grown
+        basis[k] = q
+        span = basis[: k + 1]
+        w = backward(forward(q))
+        alphas.append(float(np.real(np.vdot(q, w))))
+        for _ in range(2):
+            w = w - (span @ w.conj()).conj() @ span
+        beta = float(np.linalg.norm(w))
+        # The Ritz pair costs O(k^3); past the first steps, testing every
+        # eighth step keeps it from outgrowing the products with A* A.
+        if beta == 0.0 or k < 32 or k % 8 == 7 or k == steps - 1:
+            ritz_values, ritz_vectors = np.linalg.eigh(
+                np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+            )
+            theta, y = ritz_values[-1], ritz_vectors[:, -1]
+            if beta == 0.0 or beta * abs(y[-1]) <= residual_tol * theta:
+                v = y @ span
+                v /= np.linalg.norm(v)
+                return float(np.linalg.norm(forward(v))), v, k + 1
+        betas.append(beta)
+        q = w / beta
+    raise NonConvergenceError(steps, "lanczos")
 
 
 def _exact_estimate(a: BlockMatrix, flat: np.ndarray) -> NormEstimate:

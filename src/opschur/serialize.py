@@ -70,12 +70,51 @@ def _block_lists(block: np.ndarray) -> list:
 
 
 def _require(payload: dict, field: str, kind=None):
+    """``payload[field]``, checked against ``kind`` (a type or a tuple).
+
+    JSON ``true``/``false`` load as ``bool``, a subclass of ``int``; they
+    pass only where ``bool`` itself is asked for.
+    """
     if field not in payload:
         raise SerializationError(field, "missing")
     value = payload[field]
-    if kind is not None and not isinstance(value, kind):
-        raise SerializationError(field, f"expected {kind.__name__}")
+    if kind is not None:
+        kinds = kind if isinstance(kind, tuple) else (kind,)
+        boolean = isinstance(value, bool) and bool not in kinds
+        if boolean or not isinstance(value, kinds):
+            names = " or ".join(k.__name__ for k in kinds)
+            raise SerializationError(field, f"expected {names}")
     return value
+
+
+def _positive(payload: dict, field: str) -> int:
+    value = _require(payload, field, int)
+    if value < 1:
+        raise SerializationError(field, f"must be at least 1, got {value}")
+    return value
+
+
+def _offset_items(data: list, size: int):
+    """``(offset, item)`` for each stored diagonal of a structured payload.
+
+    ``data`` must be a non-empty list of objects with distinct offsets
+    inside ``[-(N-1), N-1]``; the checks cost one pass over the items.
+    """
+    if not data:
+        raise SerializationError("data", "needs at least one stored offset")
+    seen = set()
+    for index, item in enumerate(data):
+        if not isinstance(item, dict):
+            raise SerializationError(f"data[{index}]", "expected an object")
+        offset = _require(item, "offset", int)
+        if abs(offset) > size - 1:
+            raise SerializationError(
+                "offset", f"offset {offset} outside [{-(size - 1)}, {size - 1}]"
+            )
+        if offset in seen:
+            raise SerializationError("offset", f"duplicate offset {offset}")
+        seen.add(offset)
+        yield offset, item
 
 
 def _parse_pair(value, field: str) -> complex:
@@ -132,10 +171,19 @@ def matrix_to_payload(a: BlockMatrix) -> dict:
 
 
 def matrix_from_payload(payload: dict) -> BlockMatrix:
+    """Matrix of an interchange payload.
+
+    Raises
+    ------
+    SerializationError
+        For any malformed payload, naming the offending field.
+    """
+    if not isinstance(payload, dict):
+        raise SerializationError("<document>", "expected an object")
     if _require(payload, "type") != "block_matrix":
         raise SerializationError("type", "expected 'block_matrix'")
-    size = _require(payload, "N", int)
-    dim = _require(payload, "d", int)
+    size = _positive(payload, "N")
+    dim = _positive(payload, "d")
     structure = _require(payload, "structure", str)
     data = _require(payload, "data", list)
     if structure == DENSE:
@@ -150,16 +198,14 @@ def matrix_from_payload(payload: dict) -> BlockMatrix:
         return BlockMatrix.dense(blocks)
     if structure == TOEPLITZ:
         coeffs = {}
-        for item in data:
-            offset = _require(item, "offset", int)
+        for offset, item in _offset_items(data, size):
             coeffs[offset] = _parse_block(
                 _require(item, "block"), dim, f"offset {offset}"
             )
         return BlockMatrix.toeplitz(coeffs, size)
     if structure == BANDED:
         diagonals = {}
-        for item in data:
-            offset = _require(item, "offset", int)
+        for offset, item in _offset_items(data, size):
             runs = _require(item, "blocks", list)
             if len(runs) != size - abs(offset):
                 raise SerializationError(

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from opschur.matrices import random_toeplitz
+
+from test_serialize import MALFORMED
 from opschur.serialize import matrix_to_payload, save_json
 
 
@@ -116,3 +118,15 @@ class TestConvert:
                          str(tmp_path / "out.json"))
         assert result.returncode == 1
         assert result.stderr.strip()
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_payload_exits_one(self, tmp_path, case):
+        make, mutate, field = MALFORMED[case]
+        payload = make()
+        mutate(payload)
+        src = tmp_path / "bad.json"
+        src.write_text(json.dumps(payload))
+        result = run_cli("convert", str(src), str(tmp_path / "out.json"))
+        assert result.returncode == 1
+        assert result.stderr.startswith(f"opschur: field {field!r}:")
+        assert "Traceback" not in result.stderr

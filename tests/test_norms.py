@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opschur import norms
 from opschur.blocks import BlockVector
 from opschur.errors import NonConvergenceError
 from opschur.kernels import ScalarSymbol, mask
@@ -24,7 +25,7 @@ from opschur.norms import (
     wiener_norm,
 )
 
-from oracles import gaussian, spectral_norm
+from oracles import flatten_reference, gaussian, spectral_norm
 
 seeds = st.integers(min_value=0, max_value=10**6)
 
@@ -50,14 +51,16 @@ class TestOpNorm:
         assert apply(a, witness).norm() == pytest.approx(estimate.value,
                                                          abs=1e-10)
 
-    def test_large_instance_uses_power_iteration(self):
+    def test_large_instance_uses_lanczos(self):
         rng = np.random.default_rng(1)
         a = random_dense(280, 2, rng)
         assert a.flat_size > EXACT_SVD_LIMIT
         estimate = op_norm(a)
-        assert estimate.kind == "power_iteration"
+        assert estimate.kind == "lanczos"
         oracle = spectral_norm(a.flatten())
-        assert abs(estimate.value - oracle) <= 1e-7 * oracle
+        assert abs(estimate.value - oracle) <= 1e-8 * oracle
+        witnessed = apply(a, estimate.certificate).norm()
+        assert abs(witnessed - estimate.value) <= 1e-10 * estimate.value
 
     def test_float_conversion(self):
         estimate = op_norm(BlockMatrix.identity(3, 2))
@@ -67,6 +70,78 @@ class TestOpNorm:
         x = NormEstimate(1.0, "exact_svd", certificate="a")
         y = NormEstimate(1.0, "exact_svd", certificate="b")
         assert x == y
+
+
+def _unitary(rng, d):
+    q, r = np.linalg.qr(gaussian(rng, (d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+class TestLanczos:
+    def test_structured_matrices_are_never_densified(self, monkeypatch):
+        size = 2**14
+        rng = np.random.default_rng(12)
+        run = gaussian(rng, (size, 2, 2))
+        block_diagonal = BlockMatrix.banded({0: run}, size)
+        exact = float(np.max(np.linalg.norm(run, ord=2, axis=(1, 2))))
+        # one component scaled by 3, the other shifted: the norm is 3
+        toeplitz = BlockMatrix.toeplitz(
+            {0: np.diag([3.0, 0.0]), 1: np.diag([0.0, 1.0])}, size
+        )
+
+        def refuse(self):
+            raise AssertionError("structured matrix densified")
+
+        monkeypatch.setattr(BlockMatrix, "blocks", refuse)
+        monkeypatch.setattr(BlockMatrix, "flatten", refuse)
+        estimate = op_norm(block_diagonal)
+        assert estimate.kind == "lanczos"
+        assert abs(estimate.value - exact) <= 1e-8 * exact
+        estimate = op_norm(toeplitz)
+        assert estimate.kind == "lanczos"
+        assert estimate.value == pytest.approx(3.0, rel=1e-8)
+
+    def test_clustered_top_pair(self):
+        # a smooth toeplitz symbol: the top singular values of its
+        # truncation crowd together, where power iteration stalls
+        rng = np.random.default_rng(13)
+        block = _unitary(rng, 2) @ np.diag([1.0, 0.7]) @ _unitary(rng, 2)
+        angle = float(rng.uniform(-np.pi, np.pi))
+        a = BlockMatrix.toeplitz(
+            {l: 0.3 ** abs(l) * np.exp(1j * l * angle) * block for l in range(-2, 3)},
+            260,
+        )
+        singular = np.linalg.svd(flatten_reference(a.blocks()), compute_uv=False)
+        assert 1e-4 < (singular[0] - singular[1]) / singular[0] < 1e-3
+        estimate = op_norm(a)
+        assert estimate.kind == "lanczos"
+        assert abs(estimate.value - singular[0]) <= 1e-8 * singular[0]
+
+    def test_breakdown_on_identity(self):
+        estimate = op_norm(BlockMatrix.identity(300, 2))
+        assert estimate.kind == "lanczos"
+        assert estimate.value == pytest.approx(1.0, rel=1e-12)
+        assert estimate.iterations == 1
+
+    def test_zero_matrix(self):
+        estimate = op_norm(BlockMatrix.banded({0: np.zeros((300, 2, 2))}, 300))
+        assert estimate.kind == "lanczos"
+        assert estimate.value == 0.0
+
+    def test_cap_falls_back_to_exact_on_feasible_sizes(self, monkeypatch):
+        monkeypatch.setattr(norms, "EXACT_SVD_LIMIT", 4)
+        a = random_dense(10, 2, np.random.default_rng(14))
+        estimate = op_norm(a)
+        assert estimate.kind == "exact_svd"
+        assert float(estimate) == pytest.approx(spectral_norm(a.flatten()), rel=1e-12)
+
+    def test_cap_raises_above_eight_times_the_limit(self, monkeypatch):
+        monkeypatch.setattr(norms, "EXACT_SVD_LIMIT", 4)
+        a = random_dense(20, 2, np.random.default_rng(15))
+        assert a.flat_size > 8 * 4
+        with pytest.raises(NonConvergenceError) as err:
+            op_norm(a)
+        assert err.value.iteration_cap == 4
 
 
 class TestPowerIteration:

@@ -100,6 +100,96 @@ class TestMatrixPayload:
             matrix_from_payload({"type": "scalar_symbol"})
 
 
+def _toeplitz_payload():
+    return matrix_to_payload(BlockMatrix.toeplitz({0: np.eye(2), 1: np.eye(2)}, 4))
+
+
+def _banded_payload():
+    rng = np.random.default_rng(8)
+    return matrix_to_payload(random_banded(4, 2, rng, (0, 1)))
+
+
+def _empty_data(p):
+    p["data"] = []
+
+
+def _non_object_item(p):
+    p["data"][1] = 7
+
+
+def _duplicate_offset(p):
+    p["data"][1]["offset"] = p["data"][0]["offset"]
+
+
+def _offset_out_of_range(p):
+    p["data"][1]["offset"] = p["N"]
+
+
+def _boolean_size(p):
+    p["N"] = True
+
+
+def _zero_size(p):
+    p["N"] = 0
+
+
+def _zero_dim(p):
+    p["d"] = 0
+
+
+MALFORMED = {
+    # name: (payload factory, mutation, field named by the error)
+    "empty-toeplitz-data": (_toeplitz_payload, _empty_data, "data"),
+    "empty-banded-data": (_banded_payload, _empty_data, "data"),
+    "non-object-item": (_banded_payload, _non_object_item, "data[1]"),
+    "duplicate-offset": (_toeplitz_payload, _duplicate_offset, "offset"),
+    "offset-out-of-range": (_banded_payload, _offset_out_of_range, "offset"),
+    "boolean-N": (_toeplitz_payload, _boolean_size, "N"),
+    "zero-N": (_toeplitz_payload, _zero_size, "N"),
+    "zero-d": (_banded_payload, _zero_dim, "d"),
+}
+
+
+class TestMalformedPayload:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_rejected_naming_the_field(self, case):
+        make, mutate, field = MALFORMED[case]
+        payload = make()
+        mutate(payload)
+        with pytest.raises(SerializationError) as err:
+            matrix_from_payload(payload)
+        assert err.value.field == field
+
+    def test_boolean_offset_rejected(self):
+        payload = _toeplitz_payload()
+        payload["data"][0]["offset"] = False
+        with pytest.raises(SerializationError) as err:
+            matrix_from_payload(payload)
+        assert err.value.field == "offset"
+
+    def test_non_object_document_rejected(self):
+        with pytest.raises(SerializationError):
+            matrix_from_payload([1, 2])
+        with pytest.raises(SerializationError):
+            matrix_from_payload(3)
+
+    def test_tuple_kind_is_named(self):
+        with pytest.raises(SerializationError) as err:
+            symbol_from_payload({"type": "scalar_symbol", "kind": "poisson", "r": "x"})
+        assert err.value.field == "r"
+        assert "int or float" in str(err.value)
+
+    def test_boolean_accepted_where_asked_for(self):
+        rng = np.random.default_rng(9)
+        profile = smoothing_profile(random_banded(8, 2, rng, (0, 1)), fejer_family(), (1, 4))
+        payload = profile_to_payload(profile)
+        assert profile_from_payload(payload).converged is payload["converged"]
+        payload["floor"] = True
+        with pytest.raises(SerializationError) as err:
+            profile_from_payload(payload)
+        assert err.value.field == "floor"
+
+
 class TestSymbolPayload:
     @pytest.mark.parametrize(
         "symbol",
