@@ -57,6 +57,7 @@ from .matrices import (
     random_toeplitz,
     random_vector,
     rank_one,
+    scale_diagonals,
     schur_product,
     tensor_scalar,
     truncate,
@@ -117,6 +118,7 @@ __all__ = [
     "random_toeplitz",
     "random_vector",
     "rank_one",
+    "scale_diagonals",
     "schur_product",
     "singular_triples",
     "singular_values",

@@ -28,7 +28,7 @@ from .errors import (
     StructureError,
 )
 from .kernels import ScalarSymbol, SummabilityKernel, smooth
-from .matrices import DENSE, TOEPLITZ, BlockMatrix
+from .matrices import TOEPLITZ, BlockMatrix, scale_diagonals
 from .norms import NormEstimate, op_norm, symbol_sup_norm
 
 __all__ = [
@@ -215,16 +215,7 @@ def modulate(a: BlockMatrix, angle: float) -> BlockMatrix:
     left unchanged.  The storage structure is preserved.
     """
     angle = float(angle)
-    if a.structure == DENSE:
-        offsets = np.arange(a.size)
-        phases = np.exp(1j * angle * (offsets[None, :] - offsets[:, None]))
-        return BlockMatrix.dense(a.blocks() * phases[:, :, None, None])
-    scaled = {
-        l: np.exp(1j * angle * l) * run for l, run in a._diagonals.items()
-    }
-    if a.structure == TOEPLITZ:
-        return BlockMatrix.toeplitz(scaled, a.size)
-    return BlockMatrix.banded(scaled, a.size)
+    return scale_diagonals(a, lambda offsets: np.exp(1j * angle * offsets))
 
 
 def smoothing_profile(
@@ -282,12 +273,14 @@ def toeplitz_from_symbol(symbol: OperatorSymbol, size: int) -> BlockMatrix:
     return BlockMatrix.toeplitz(coeffs, size)
 
 
+def _require_toeplitz(a: BlockMatrix, what: str) -> None:
+    if a.structure != TOEPLITZ:
+        raise StructureError(f"{what} needs toeplitz storage, got {a.structure!r}")
+
+
 def symbol_from_toeplitz(a: BlockMatrix) -> OperatorSymbol:
     """Read the stored diagonals of a toeplitz matrix back as a symbol."""
-    if a.structure != TOEPLITZ:
-        raise StructureError(
-            f"symbol extraction needs toeplitz storage, got {a.structure!r}"
-        )
+    _require_toeplitz(a, "symbol extraction")
     return OperatorSymbol({l: a.diagonal_run(l)[0] for l in a.diagonal_support()})
 
 
@@ -303,10 +296,7 @@ def coefficient_action(a: BlockMatrix, p: VectorPolynomial) -> np.ndarray:
     masks is this same map restricted to masks, so it has no separate
     entry point.
     """
-    if a.structure != TOEPLITZ:
-        raise StructureError(
-            f"coefficient action needs toeplitz storage, got {a.structure!r}"
-        )
+    _require_toeplitz(a, "coefficient action")
     if p.dim != a.dim:
         raise DimensionMismatchError((a.dim,), (p.dim,), "coefficient action")
     out = np.zeros(a.dim, dtype=complex)
@@ -338,10 +328,7 @@ def coefficient_action_bound(
     vector through rank-one operator coefficients.  Sampling only ever
     certifies a lower bound.
     """
-    if a.structure != TOEPLITZ:
-        raise StructureError(
-            f"coefficient action needs toeplitz storage, got {a.structure!r}"
-        )
+    _require_toeplitz(a, "coefficient action")
     dim = a.dim
     window = min(max_degree, a.size - 1)
     best = -1.0
@@ -422,30 +409,16 @@ def analytic_eval(a: BlockMatrix, z: complex) -> BlockMatrix:
     Entry ``(k, j)`` is scaled by ``z^{j - k}``; on the circle of
     radius ``r`` this equals Poisson smoothing at ``r`` followed by
     modulation at the angle of ``z``, and both routes agree entry for
-    entry.
+    entry.  Only offsets ``0..N-1`` are kept, so a dense input gives
+    banded storage.
     """
     z = _analytic_weights(a, z)
-    if a.structure == DENSE:
-        offsets = np.arange(a.size)
-        gaps = offsets[None, :] - offsets[:, None]
-        weights = np.where(gaps >= 0, np.power(z, np.maximum(gaps, 0)), 0.0)
-        return BlockMatrix.dense(a.blocks() * weights[:, :, None, None])
-    scaled = {l: (z**l) * run for l, run in a._diagonals.items() if l >= 0}
-    if not scaled:
-        scaled = {0: np.zeros((a.dim, a.dim))}
-        if a.structure != TOEPLITZ:
-            scaled = {0: np.zeros((a.size, a.dim, a.dim))}
-    if a.structure == TOEPLITZ:
-        return BlockMatrix.toeplitz(scaled, a.size)
-    return BlockMatrix.banded(scaled, a.size)
+    return scale_diagonals(a, lambda offsets: np.power(z, offsets), range(a.size))
 
 
 def symbol_analytic_eval(a: BlockMatrix, z: complex) -> OperatorBlock:
     """Power series ``sum_l T_l z^l`` of an upper toeplitz matrix at ``z``."""
-    if a.structure != TOEPLITZ:
-        raise StructureError(
-            f"symbol series needs toeplitz storage, got {a.structure!r}"
-        )
+    _require_toeplitz(a, "symbol series")
     z = _analytic_weights(a, z)
     out = np.zeros((a.dim, a.dim), dtype=complex)
     for offset in a.diagonal_support():

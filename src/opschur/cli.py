@@ -12,8 +12,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .errors import NonConvergenceError, SerializationError
 from .experiments import (
     ExperimentConfig,
@@ -21,7 +19,7 @@ from .experiments import (
     experiment_names,
     run_experiment,
 )
-from .serialize import convert, dumps_canonical, write_csv
+from .serialize import convert, dumps_canonical, json_cell, write_csv
 
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 1
@@ -90,17 +88,6 @@ def _parse_tolerances(pairs: list[str], parser: _Parser) -> dict[str, float]:
     return tolerances
 
 
-def _json_cell(value):
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        # 12 significant digits, matching the CSV tables.
-        return float(f"{float(value):.12g}")
-    return str(value)
-
-
 def _result_payload(result: ExperimentResult) -> dict:
     return {
         "type": "experiment",
@@ -115,7 +102,7 @@ def _result_payload(result: ExperimentResult) -> dict:
             {
                 "name": table.name,
                 "header": list(table.header),
-                "rows": [[_json_cell(cell) for cell in row]
+                "rows": [[json_cell(cell) for cell in row]
                          for row in table.rows],
             }
             for table in result.tables

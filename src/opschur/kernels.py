@@ -21,7 +21,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import StructureError
-from .matrices import BANDED, DENSE, TOEPLITZ, BlockMatrix
+from .matrices import BlockMatrix, scale_diagonals
 
 __all__ = [
     "TORUS_GRID_POINTS",
@@ -236,32 +236,10 @@ def smooth(a: BlockMatrix, symbol: ScalarSymbol) -> BlockMatrix:
     symbol forces a banded (or toeplitz) result on the intersected
     support.
     """
-    def dense_rescale() -> BlockMatrix:
-        offsets = np.arange(a.size)
-        weights = symbol.coeff_array(offsets[None, :] - offsets[:, None])
-        return BlockMatrix.dense(a.blocks() * weights[:, :, None, None])
-
     support = symbol.support()
-    if support is None:
-        if a.structure == DENSE:
-            return dense_rescale()
-        scaled = {l: symbol.coeff(l) * run for l, run in a._diagonals.items()}
-        if a.structure == TOEPLITZ:
-            return BlockMatrix.toeplitz(scaled, a.size)
-        return BlockMatrix.banded(scaled, a.size)
-    stored = set(a.diagonal_support())
-    window = [l for l in support if abs(l) <= a.size - 1 and l in stored]
-    if a.structure == DENSE and len(window) == 2 * a.size - 1:
-        return dense_rescale()
-    if a.structure == TOEPLITZ:
-        kept = {l: symbol.coeff(l) * a._diagonals[l] for l in window}
-        if not kept:
-            kept = {0: np.zeros((a.dim, a.dim))}
-        return BlockMatrix.toeplitz(kept, a.size)
-    kept = {l: symbol.coeff(l) * a.diagonal_run(l) for l in window}
-    if not kept:
-        kept = {0: np.zeros((a.size, a.dim, a.dim))}
-    return BlockMatrix.banded(kept, a.size)
+    if support is not None:
+        support = frozenset(support)
+    return scale_diagonals(a, symbol.coeff_array, support)
 
 
 @dataclass(frozen=True)

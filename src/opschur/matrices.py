@@ -6,9 +6,12 @@ contributes to the k-th slot, so diagonal offset ``l = j - k`` indexes
 the upper-right diagonals for ``l > 0``.  Indices are 0-based
 throughout.
 
-Storage comes in three forms.  ``dense`` keeps the full (N, N, d, d)
-array; ``toeplitz`` keeps one block per stored offset, constant along
-each diagonal; ``banded`` keeps a run of blocks per stored offset.
+Storage comes in two forms.  ``dense`` keeps the full (N, N, d, d)
+array; ``toeplitz`` and ``banded`` keep a run of blocks per stored
+offset, of shape (1, d, d) for toeplitz (the block is constant along
+its diagonal) and (N - |l|, d, d) for banded, so every diagonal-wise
+operation serves both with one code path.  Only the symbol bridge and
+serialization read the toeplitz tag as more than a storage choice.
 Structure tags are advisory, for storage and speed only: semantic
 equality is entry-wise and is tested with :func:`allclose`, which
 erases structure before comparing.  Whether a matrix is upper
@@ -44,6 +47,7 @@ __all__ = [
     "rank_one",
     "tensor_scalar",
     "truncate",
+    "scale_diagonals",
     "allclose",
     "random_dense",
     "random_toeplitz",
@@ -75,10 +79,20 @@ class BlockMatrix:
     __slots__ = ("_size", "_dim", "_structure", "_dense", "_diagonals", "_cache")
 
     def __init__(self, *, size, dim, structure, dense=None, diagonals=None):
+        size, dim = int(size), int(dim)
         if structure not in _STRUCTURES:
             raise StructureError(f"unknown structure tag {structure!r}")
-        self._size = int(size)
-        self._dim = int(dim)
+        if size < 1 or dim < 1:
+            raise StructureError(f"size and dim must be at least 1, got {size} and {dim}")
+        has_dense = isinstance(dense, np.ndarray)
+        has_runs = isinstance(diagonals, dict) and bool(diagonals)
+        if (has_dense, has_runs) != (structure == DENSE, structure != DENSE):
+            raise StructureError(
+                f"{structure!r} storage needs a dense array if and only if tagged "
+                "dense, and a non-empty diagonal map if and only if structured"
+            )
+        self._size = size
+        self._dim = dim
         self._structure = structure
         self._dense = dense
         self._diagonals = diagonals
@@ -112,14 +126,14 @@ class BlockMatrix:
                 raise CoefficientSupportError(
                     offset, (-(size - 1), size - 1), "toeplitz coefficients"
                 )
-            arr = _frozen(np.asarray(block, dtype=complex))
+            arr = np.asarray(block, dtype=complex)
             if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
                 raise DimensionMismatchError(arr.shape, ("d", "d"), "toeplitz block")
             if dim is None:
                 dim = arr.shape[0]
             elif arr.shape[0] != dim:
                 raise DimensionMismatchError(arr.shape, (dim, dim), "toeplitz block")
-            stored[offset] = arr
+            stored[offset] = _frozen(arr[None])
         return cls(size=size, dim=dim, structure=TOEPLITZ, diagonals=stored)
 
     @classmethod
@@ -149,6 +163,23 @@ class BlockMatrix:
     @classmethod
     def identity(cls, size: int, dim: int) -> "BlockMatrix":
         return cls.toeplitz({0: np.eye(dim)}, size)
+
+    @classmethod
+    def _from_runs(cls, structure: str, size: int, dim: int, runs: dict) -> "BlockMatrix":
+        """Structured matrix owning the fresh ``offset -> run`` arrays ``runs``.
+
+        A banded result broadcasts a run shorter than its diagonal (one
+        computed from toeplitz operands only) as a read-only view; with no
+        runs the zero main diagonal is stored.
+        """
+        if not runs:
+            runs = {0: np.zeros((1, dim, dim), dtype=complex)}
+        for offset, run in runs.items():
+            if structure == BANDED and len(run) < size - abs(offset):
+                runs[offset] = np.broadcast_to(run, (size - abs(offset), dim, dim))
+            else:
+                run.flags.writeable = False
+        return cls(size=size, dim=dim, structure=structure, diagonals=runs)
 
     # -- basic queries ------------------------------------------------
 
@@ -189,14 +220,11 @@ class BlockMatrix:
         """
         cached = self._cache.get("upper")
         if cached is None:
-            if self._structure == DENSE:
-                k, j = np.tril_indices(self._size, k=-1)
-                cached = not np.any(self._dense[k, j])
-            else:
-                cached = all(
-                    offset >= 0 or not np.any(run)
-                    for offset, run in self._diagonals.items()
-                )
+            cached = not any(
+                np.any(self._run(offset))
+                for offset in self.diagonal_support()
+                if offset < 0
+            )
             self._cache["upper"] = cached
         return cached
 
@@ -204,29 +232,27 @@ class BlockMatrix:
         """Block at row ``k``, column ``j`` (0-based)."""
         if not (0 <= k < self._size and 0 <= j < self._size):
             raise IndexError(f"entry ({k}, {j}) outside {self._size} x {self._size}")
-        if self._structure == DENSE:
-            return OperatorBlock(self._dense[k, j])
-        offset = j - k
-        run = self._diagonals.get(offset)
-        if run is None:
-            return OperatorBlock.zero(self._dim)
-        if self._structure == TOEPLITZ:
-            return OperatorBlock(run)
-        return OperatorBlock(run[k - max(0, -offset)])
+        run = self._run(j - k)
+        return OperatorBlock(run[min(k, j, len(run) - 1)])
 
     def diagonal_run(self, offset: int) -> np.ndarray:
         """All blocks on a diagonal as an (N - |offset|, d, d) array."""
         if abs(offset) > self._size - 1:
             raise DiagonalRangeError(offset, self._size)
         count = self._size - abs(offset)
+        run = self._run(offset)
+        if len(run) < count:
+            return np.broadcast_to(run, (count, self._dim, self._dim))
+        return run
+
+    def _run(self, offset: int) -> np.ndarray:
+        """Stored run of a diagonal: length 1 for toeplitz, a (1, d, d)
+        zero when the diagonal is not stored, the full diagonal for dense."""
         if self._structure == DENSE:
-            rows = _diag_rows(self._size, offset)
-            return self._dense[rows, rows + offset]
+            return self._dense.diagonal(offset).transpose(2, 0, 1)
         run = self._diagonals.get(offset)
         if run is None:
-            return np.zeros((count, self._dim, self._dim), dtype=complex)
-        if self._structure == TOEPLITZ:
-            return np.broadcast_to(run, (count,) + run.shape)
+            return np.zeros((1, self._dim, self._dim), dtype=complex)
         return run
 
     def blocks(self) -> np.ndarray:
@@ -268,12 +294,9 @@ class BlockMatrix:
         return _combine(self, other, np.subtract)
 
     def __mul__(self, scalar: complex) -> "BlockMatrix":
-        if self._structure == DENSE:
-            return BlockMatrix.dense(self._dense * scalar)
-        scaled = {l: run * scalar for l, run in self._diagonals.items()}
-        if self._structure == TOEPLITZ:
-            return BlockMatrix.toeplitz(scaled, self._size)
-        return BlockMatrix.banded(scaled, self._size)
+        return scale_diagonals(
+            self, lambda offsets: np.full(offsets.shape, scalar, dtype=complex)
+        )
 
     __rmul__ = __mul__
 
@@ -284,22 +307,19 @@ class BlockMatrix:
         )
 
 
+def _joint_structure(a: BlockMatrix, b: BlockMatrix) -> str:
+    """Tag of a diagonal-wise result: toeplitz only from two toeplitz operands."""
+    return TOEPLITZ if a.structure == b.structure == TOEPLITZ else BANDED
+
+
 def _combine(a: BlockMatrix, b: BlockMatrix, op) -> BlockMatrix:
     """Entrywise binary combination with the usual structure promotion."""
     a._check_same_shape(b, "entrywise combination")
-    if a.structure == TOEPLITZ and b.structure == TOEPLITZ:
-        support = sorted(set(a.diagonal_support()) | set(b.diagonal_support()))
-        zero = np.zeros((a.dim, a.dim), dtype=complex)
-        out = {
-            l: op(a._diagonals.get(l, zero), b._diagonals.get(l, zero))
-            for l in support
-        }
-        return BlockMatrix.toeplitz(out, a.size)
-    if DENSE not in (a.structure, b.structure):
-        support = sorted(set(a.diagonal_support()) | set(b.diagonal_support()))
-        out = {l: op(a.diagonal_run(l), b.diagonal_run(l)) for l in support}
-        return BlockMatrix.banded(out, a.size)
-    return BlockMatrix.dense(op(a.blocks(), b.blocks()))
+    if DENSE in (a.structure, b.structure):
+        return BlockMatrix.dense(op(a.blocks(), b.blocks()))
+    support = sorted(set(a.diagonal_support()) | set(b.diagonal_support()))
+    runs = {l: op(a._run(l), b._run(l)) for l in support}
+    return BlockMatrix._from_runs(_joint_structure(a, b), a.size, a.dim, runs)
 
 
 def schur_product(a: BlockMatrix, b: BlockMatrix) -> BlockMatrix:
@@ -312,25 +332,12 @@ def schur_product(a: BlockMatrix, b: BlockMatrix) -> BlockMatrix:
     intersected support.
     """
     a._check_same_shape(b, "schur product")
-    if a.structure == TOEPLITZ and b.structure == TOEPLITZ:
-        support = sorted(set(a.diagonal_support()) & set(b.diagonal_support()))
-        if not support:
-            return BlockMatrix.toeplitz({0: np.zeros((a.dim, a.dim))}, a.size)
-        out = {l: a._diagonals[l] @ b._diagonals[l] for l in support}
-        return BlockMatrix.toeplitz(out, a.size)
-    full = 2 * a.size - 1
+    structure = _joint_structure(a, b)
     support = sorted(set(a.diagonal_support()) & set(b.diagonal_support()))
-    if len(support) < full:
-        if not support:
-            return BlockMatrix.banded(
-                {0: np.zeros((a.size, a.dim, a.dim))}, a.size
-            )
-        out = {
-            l: np.einsum("kab,kbc->kac", a.diagonal_run(l), b.diagonal_run(l))
-            for l in support
-        }
-        return BlockMatrix.banded(out, a.size)
-    return BlockMatrix.dense(np.einsum("kjab,kjbc->kjac", a.blocks(), b.blocks()))
+    if structure == BANDED and len(support) == 2 * a.size - 1:
+        return BlockMatrix.dense(np.einsum("kjab,kjbc->kjac", a.blocks(), b.blocks()))
+    runs = {l: np.einsum("kab,kbc->kac", a._run(l), b._run(l)) for l in support}
+    return BlockMatrix._from_runs(structure, a.size, a.dim, runs)
 
 
 def apply(a: BlockMatrix, x: BlockVector) -> BlockVector:
@@ -346,10 +353,7 @@ def apply(a: BlockMatrix, x: BlockVector) -> BlockVector:
     out = np.zeros((a.size, a.dim), dtype=complex)
     for offset, run in a._diagonals.items():
         rows = _diag_rows(a.size, offset)
-        if a.structure == TOEPLITZ:
-            out[rows] += x.parts[rows + offset] @ run.T
-        else:
-            out[rows] += np.einsum("kab,kb->ka", run, x.parts[rows + offset])
+        out[rows] += np.einsum("kab,kb->ka", run, x.parts[rows + offset])
     return BlockVector(out)
 
 
@@ -360,15 +364,8 @@ def adjoint(a: BlockMatrix) -> BlockMatrix:
     """
     if a.structure == DENSE:
         return BlockMatrix.dense(a._dense.transpose(1, 0, 3, 2).conj())
-    flipped = {}
-    for offset, run in a._diagonals.items():
-        if a.structure == TOEPLITZ:
-            flipped[-offset] = run.conj().T
-        else:
-            flipped[-offset] = run.conj().transpose(0, 2, 1)
-    if a.structure == TOEPLITZ:
-        return BlockMatrix.toeplitz(flipped, a.size)
-    return BlockMatrix.banded(flipped, a.size)
+    flipped = {-l: run.conj().transpose(0, 2, 1) for l, run in a._diagonals.items()}
+    return BlockMatrix._from_runs(a.structure, a.size, a.dim, flipped)
 
 
 def diagonal(a: BlockMatrix, offset: int) -> list[OperatorBlock]:
@@ -413,17 +410,30 @@ def truncate(a: BlockMatrix, size: int) -> BlockMatrix:
     if a.structure == DENSE:
         return BlockMatrix.dense(a._dense[:size, :size])
     kept = {
-        l: (run if a.structure == TOEPLITZ else run[: size - abs(l)])
-        for l, run in a._diagonals.items()
-        if abs(l) <= size - 1
+        l: run[: size - abs(l)] for l, run in a._diagonals.items() if abs(l) < size
     }
-    if not kept:
-        kept = {0: np.zeros((a.dim, a.dim))}
-        if a.structure == BANDED:
-            kept = {0: np.zeros((size, a.dim, a.dim))}
-    if a.structure == TOEPLITZ:
-        return BlockMatrix.toeplitz(kept, size)
-    return BlockMatrix.banded(kept, size)
+    return BlockMatrix._from_runs(a.structure, size, a.dim, kept)
+
+
+def scale_diagonals(a: BlockMatrix, weight, support=None) -> BlockMatrix:
+    """Rescale diagonal ``l`` by ``weight(l)``, keeping only ``l in support``.
+
+    This is the Schur product with the toeplitz mask whose diagonal
+    ``l`` is ``weight(l) Id``.  ``weight`` maps an integer array of
+    offsets to an array of scalars of the same shape.  ``support``
+    (``None`` keeps every stored diagonal) should answer ``in`` in
+    O(1), like a ``range`` or a ``frozenset``.  A dense input stays
+    dense only when it keeps all ``2N - 1`` diagonals; otherwise the
+    result is banded, or toeplitz for a toeplitz input.
+    """
+    kept = [l for l in a.diagonal_support() if support is None or l in support]
+    if a.structure == DENSE and len(kept) == 2 * a.size - 1:
+        index = np.arange(a.size)
+        weights = weight(index[None, :] - index[:, None])
+        return BlockMatrix.dense(a.blocks() * weights[:, :, None, None])
+    weights = weight(np.array(kept, dtype=int))
+    runs = {l: w * a._run(l) for l, w in zip(kept, weights)}
+    return BlockMatrix._from_runs(_joint_structure(a, a), a.size, a.dim, runs)
 
 
 def allclose(a: BlockMatrix, b: BlockMatrix, tol: float = 1e-12) -> bool:

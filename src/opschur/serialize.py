@@ -4,9 +4,10 @@ Interchange payloads are plain JSON with complex numbers as
 ``[real, imag]`` pairs.  Canonical serialization sorts keys and uses
 compact separators, and floats go through their shortest round-trip
 representation, so load followed by dump reproduces the original bytes
-exactly.  CSV tables are for experiment output, not interchange: there
-floats are printed with 12 significant digits and complex columns are
-split into real and imaginary parts.
+exactly.  Values must be finite: ``NaN`` and ``Infinity`` are not JSON.
+Experiment tables are output, not interchange: in CSV and JSON alike
+their floats are rounded to 12 significant digits, and CSV splits
+complex columns into real and imaginary parts.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ __all__ = [
     "profile_from_payload",
     "profile_csv_rows",
     "format_cell",
+    "json_cell",
     "write_csv",
     "convert",
 ]
@@ -87,6 +89,15 @@ def _require(payload: dict, field: str, kind=None):
     return value
 
 
+def _typed(payload, tag: str) -> dict:
+    """``payload`` checked to be an object whose ``type`` is ``tag``."""
+    if not isinstance(payload, dict):
+        raise SerializationError("<document>", "expected an object")
+    if _require(payload, "type") != tag:
+        raise SerializationError("type", f"expected {tag!r}")
+    return payload
+
+
 def _positive(payload: dict, field: str) -> int:
     value = _require(payload, field, int)
     if value < 1:
@@ -94,20 +105,21 @@ def _positive(payload: dict, field: str) -> int:
     return value
 
 
-def _offset_items(data: list, size: int):
-    """``(offset, item)`` for each stored diagonal of a structured payload.
+def _offset_items(items: list, field: str, size: int | None = None):
+    """``(offset, item)`` for each entry of an offset-keyed list ``field``.
 
-    ``data`` must be a non-empty list of objects with distinct offsets
-    inside ``[-(N-1), N-1]``; the checks cost one pass over the items.
+    ``items`` must be a non-empty list of objects with distinct offsets,
+    inside ``[-(N-1), N-1]`` when a size ``N`` is given; the checks cost
+    one pass over the items.
     """
-    if not data:
-        raise SerializationError("data", "needs at least one stored offset")
+    if not items:
+        raise SerializationError(field, "needs at least one stored offset")
     seen = set()
-    for index, item in enumerate(data):
+    for index, item in enumerate(items):
         if not isinstance(item, dict):
-            raise SerializationError(f"data[{index}]", "expected an object")
+            raise SerializationError(f"{field}[{index}]", "expected an object")
         offset = _require(item, "offset", int)
-        if abs(offset) > size - 1:
+        if size is not None and abs(offset) > size - 1:
             raise SerializationError(
                 "offset", f"offset {offset} outside [{-(size - 1)}, {size - 1}]"
             )
@@ -115,6 +127,13 @@ def _offset_items(data: list, size: int):
             raise SerializationError("offset", f"duplicate offset {offset}")
         seen.add(offset)
         yield offset, item
+
+
+def _finite(values: np.ndarray, field: str) -> np.ndarray:
+    """``values`` unchanged, or SerializationError if any is NaN or infinite."""
+    if not np.isfinite(values).all():
+        raise SerializationError(field, "values must be finite")
+    return values
 
 
 def _parse_pair(value, field: str) -> complex:
@@ -178,10 +197,7 @@ def matrix_from_payload(payload: dict) -> BlockMatrix:
     SerializationError
         For any malformed payload, naming the offending field.
     """
-    if not isinstance(payload, dict):
-        raise SerializationError("<document>", "expected an object")
-    if _require(payload, "type") != "block_matrix":
-        raise SerializationError("type", "expected 'block_matrix'")
+    _typed(payload, "block_matrix")
     size = _positive(payload, "N")
     dim = _positive(payload, "d")
     structure = _require(payload, "structure", str)
@@ -195,28 +211,30 @@ def matrix_from_payload(payload: dict) -> BlockMatrix:
                 raise SerializationError("data", f"expected {size} columns")
             for j, cell in enumerate(row):
                 blocks[k, j] = _parse_block(cell, dim, f"data[{k}][{j}]")
-        return BlockMatrix.dense(blocks)
+        return BlockMatrix.dense(_finite(blocks, "data"))
     if structure == TOEPLITZ:
         coeffs = {}
-        for offset, item in _offset_items(data, size):
-            coeffs[offset] = _parse_block(
-                _require(item, "block"), dim, f"offset {offset}"
+        for offset, item in _offset_items(data, "data", size):
+            coeffs[offset] = _finite(
+                _parse_block(_require(item, "block"), dim, f"offset {offset}"),
+                f"offset {offset}",
             )
         return BlockMatrix.toeplitz(coeffs, size)
     if structure == BANDED:
         diagonals = {}
-        for offset, item in _offset_items(data, size):
+        for offset, item in _offset_items(data, "data", size):
             runs = _require(item, "blocks", list)
             if len(runs) != size - abs(offset):
                 raise SerializationError(
                     "blocks", f"offset {offset} needs {size - abs(offset)} blocks"
                 )
-            diagonals[offset] = np.stack(
+            run = np.stack(
                 [
                     _parse_block(b, dim, f"offset {offset}[{i}]")
                     for i, b in enumerate(runs)
                 ]
             )
+            diagonals[offset] = _finite(run, f"offset {offset}")
         return BlockMatrix.banded(diagonals, size)
     raise SerializationError("structure", f"unknown structure {structure!r}")
 
@@ -235,23 +253,38 @@ def symbol_to_payload(symbol: ScalarSymbol) -> dict:
     return payload
 
 
+# Closed-form symbol kinds: the payload field holding the parameter, its
+# JSON type, and the constructor that validates its range.
+_SYMBOL_PARAMETERS = {
+    "fejer": ("n", int, ScalarSymbol.fejer),
+    "dirichlet": ("n", int, ScalarSymbol.dirichlet),
+    "poisson": ("r", (int, float), ScalarSymbol.poisson),
+}
+
+
 def symbol_from_payload(payload: dict) -> ScalarSymbol:
-    if _require(payload, "type") != "scalar_symbol":
-        raise SerializationError("type", "expected 'scalar_symbol'")
-    kind = _require(payload, "kind", str)
+    """Symbol of an interchange payload.
+
+    Raises
+    ------
+    SerializationError
+        For any malformed payload, naming the offending field.
+    """
+    kind = _require(_typed(payload, "scalar_symbol"), "kind", str)
     if kind == "trigpoly":
-        coeffs = {}
-        for item in _require(payload, "coeffs", list):
-            offset = _require(item, "offset", int)
-            coeffs[offset] = _parse_pair(_require(item, "value"), f"offset {offset}")
+        coeffs = {
+            offset: _parse_pair(_require(item, "value"), f"offset {offset}")
+            for offset, item in _offset_items(_require(payload, "coeffs", list), "coeffs")
+        }
+        _finite(np.array(list(coeffs.values())), "coeffs")
         return ScalarSymbol.trig_polynomial(coeffs)
-    if kind == "fejer":
-        return ScalarSymbol.fejer(_require(payload, "n", int))
-    if kind == "dirichlet":
-        return ScalarSymbol.dirichlet(_require(payload, "n", int))
-    if kind == "poisson":
-        return ScalarSymbol.poisson(_require(payload, "r", (int, float)))
-    raise SerializationError("kind", f"unknown symbol kind {kind!r}")
+    if kind not in _SYMBOL_PARAMETERS:
+        raise SerializationError("kind", f"unknown symbol kind {kind!r}")
+    field, field_kind, make = _SYMBOL_PARAMETERS[kind]
+    try:
+        return make(_require(payload, field, field_kind))
+    except ValueError as exc:
+        raise SerializationError(field, str(exc)) from exc
 
 
 def _witness_reference(certificate) -> dict | None:
@@ -295,8 +328,7 @@ def profile_to_payload(profile: ConvergenceProfile) -> dict:
 
 
 def profile_from_payload(payload: dict) -> ConvergenceProfile:
-    if _require(payload, "type") != "convergence_profile":
-        raise SerializationError("type", "expected 'convergence_profile'")
+    _typed(payload, "convergence_profile")
     return ConvergenceProfile(
         indices=tuple(_require(payload, "indices", list)),
         distances=tuple(_require(payload, "distances", list)),
@@ -324,6 +356,17 @@ def format_cell(value) -> str:
         return f"{float(value):.{CSV_SIGNIFICANT_DIGITS}g}"
     if isinstance(value, (complex, np.complexfloating)):
         raise TypeError("split complex values into _re/_im columns before writing")
+    return str(value)
+
+
+def json_cell(value):
+    """JSON table cell: floats rounded as in :func:`format_cell`."""
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return float(format_cell(value))
     return str(value)
 
 

@@ -1,14 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opschur.analysis import analytic_eval, modulate
 from opschur.blocks import BlockVector, inner
 from opschur.errors import (
     CoefficientSupportError,
     DiagonalRangeError,
     DimensionMismatchError,
+    StructureError,
 )
+from opschur.kernels import ScalarSymbol, smooth
 from opschur.matrices import (
     BANDED,
     DENSE,
@@ -23,6 +28,7 @@ from opschur.matrices import (
     random_toeplitz,
     random_vector,
     rank_one,
+    scale_diagonals,
     schur_product,
     tensor_scalar,
     truncate,
@@ -98,6 +104,24 @@ class TestConstruction:
     def test_diagonal_run_unstored_is_zero(self):
         a = BlockMatrix.toeplitz({0: np.eye(2)}, 4)
         np.testing.assert_array_equal(a.diagonal_run(2), np.zeros((2, 2, 2)))
+
+    @pytest.mark.parametrize(
+        "storage",
+        [
+            {"structure": DENSE},
+            {"structure": DENSE, "diagonals": {0: np.zeros((1, 2, 2))}},
+            {"structure": TOEPLITZ, "dense": np.zeros((3, 3, 2, 2))},
+            {"structure": BANDED, "diagonals": {}},
+            {"structure": BANDED, "size": 0, "diagonals": {0: np.zeros((1, 2, 2))}},
+            {"structure": TOEPLITZ, "dim": 0, "diagonals": {0: np.zeros((1, 0, 0))}},
+            {"structure": "sparse", "diagonals": {0: np.zeros((1, 2, 2))}},
+        ],
+        ids=["dense-without-array", "dense-with-diagonals", "toeplitz-with-array",
+             "banded-empty-map", "zero-size", "zero-dim", "unknown-tag"],
+    )
+    def test_raw_constructor_rejects_inconsistent_storage(self, storage):
+        with pytest.raises(StructureError):
+            BlockMatrix(**{"size": 3, "dim": 2, **storage})
 
 
 class TestFlatten:
@@ -297,6 +321,65 @@ class TestTruncate:
     def test_bad_size(self):
         with pytest.raises(ValueError):
             truncate(BlockMatrix.identity(4, 2), 0)
+
+
+def _weight(offsets):
+    return (0.5 + 0.25j) ** np.abs(offsets) * np.exp(0.3j * offsets)
+
+
+class TestScaleDiagonals:
+    @pytest.mark.parametrize("kind", [DENSE, TOEPLITZ, BANDED])
+    @pytest.mark.parametrize(
+        "support",
+        [None, frozenset({-1, 0, 3}), frozenset({-9, 7})],
+        ids=["all", "partial", "disjoint"],
+    )
+    def test_matches_entrywise_reference(self, kind, support):
+        a = _sample(kind, np.random.default_rng(24))
+        got = scale_diagonals(a, _weight, support)
+        index = np.arange(a.size)
+        gaps = index[None, :] - index[:, None]
+        weights = _weight(gaps)
+        if support is not None:
+            weights = weights * np.isin(gaps, sorted(support))
+        np.testing.assert_allclose(
+            got.blocks(), a.blocks() * weights[:, :, None, None], atol=1e-14
+        )
+        dense_tag = DENSE if support is None else BANDED
+        assert got.structure == (dense_tag if kind == DENSE else kind)
+
+
+class TestToeplitzMemory:
+    """Diagonal-wise operations on toeplitz storage never allocate O(N)."""
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda a, b: adjoint(a),
+            lambda a, b: truncate(a, a.size // 2),
+            lambda a, b: schur_product(a, b),
+            lambda a, b: a - b,
+            lambda a, b: 2j * a,
+            lambda a, b: smooth(a, ScalarSymbol.fejer(3)),
+            lambda a, b: smooth(a, ScalarSymbol.poisson(0.5)),
+            lambda a, b: modulate(a, 0.7),
+            lambda a, b: analytic_eval(a, 0.5j),
+        ],
+        ids=["adjoint", "truncate", "schur_product", "difference", "scalar",
+             "smooth_fejer", "smooth_poisson", "modulate", "analytic_eval"],
+    )
+    def test_peak_below_one_megabyte(self, op):
+        rng = np.random.default_rng(25)
+        a = random_toeplitz(2**20, 2, rng, (0, 1, 2))
+        b = random_toeplitz(2**20, 2, rng, (-1, 0, 1))
+        tracemalloc.start()
+        try:
+            result = op(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.structure == TOEPLITZ
+        assert peak < 1_000_000
 
 
 class TestStructureFlags:

@@ -109,6 +109,10 @@ def _banded_payload():
     return matrix_to_payload(random_banded(4, 2, rng, (0, 1)))
 
 
+def _dense_payload():
+    return matrix_to_payload(random_dense(2, 2, np.random.default_rng(10)))
+
+
 def _empty_data(p):
     p["data"] = []
 
@@ -137,6 +141,18 @@ def _zero_dim(p):
     p["d"] = 0
 
 
+def _nan_cell(p):
+    p["data"][0][1][0][1] = [float("nan"), 0.0]
+
+
+def _infinite_block(p):
+    p["data"][1]["block"][1][0] = [0.0, float("inf")]
+
+
+def _infinite_run(p):
+    p["data"][1]["blocks"][2][0][0] = [float("-inf"), 1.0]
+
+
 MALFORMED = {
     # name: (payload factory, mutation, field named by the error)
     "empty-toeplitz-data": (_toeplitz_payload, _empty_data, "data"),
@@ -147,6 +163,9 @@ MALFORMED = {
     "boolean-N": (_toeplitz_payload, _boolean_size, "N"),
     "zero-N": (_toeplitz_payload, _zero_size, "N"),
     "zero-d": (_banded_payload, _zero_dim, "d"),
+    "nan-dense-cell": (_dense_payload, _nan_cell, "data"),
+    "infinite-toeplitz-block": (_toeplitz_payload, _infinite_block, "offset 1"),
+    "infinite-banded-run": (_banded_payload, _infinite_run, "offset 1"),
 }
 
 
@@ -206,6 +225,31 @@ class TestSymbolPayload:
         assert back.kind == symbol.kind
         for l in (-4, -1, 0, 1, 4):
             assert back.coeff(l) == pytest.approx(symbol.coeff(l))
+
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            (5, "<document>"),
+            ({"type": "scalar_symbol", "kind": "trigpoly", "coeffs": []}, "coeffs"),
+            ({"type": "scalar_symbol", "kind": "trigpoly",
+              "coeffs": [{"offset": 0, "value": [1.0, 0.0]}, 7]}, "coeffs[1]"),
+            ({"type": "scalar_symbol", "kind": "trigpoly",
+              "coeffs": [{"offset": 1, "value": [1.0, 0.0]},
+                         {"offset": 1, "value": [2.0, 0.0]}]}, "offset"),
+            ({"type": "scalar_symbol", "kind": "trigpoly",
+              "coeffs": [{"offset": 0, "value": [float("nan"), 0.0]}]}, "coeffs"),
+            ({"type": "scalar_symbol", "kind": "fejer", "n": -1}, "n"),
+            ({"type": "scalar_symbol", "kind": "poisson", "r": 1.5}, "r"),
+            ({"type": "scalar_symbol", "kind": "poisson", "r": float("nan")}, "r"),
+        ],
+        ids=["non-object-document", "empty-coeffs", "non-object-coeff",
+             "duplicate-offset", "nan-coefficient", "negative-order",
+             "radius-above-one", "nan-radius"],
+    )
+    def test_malformed_rejected_naming_the_field(self, payload, field):
+        with pytest.raises(SerializationError) as err:
+            symbol_from_payload(payload)
+        assert err.value.field == field
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(SerializationError) as err:
