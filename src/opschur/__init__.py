@@ -66,7 +66,6 @@ from .norms import (
     NormEstimate,
     multiplier_lower_bound,
     op_norm,
-    op_norm_sampled,
     power_iteration,
     symbol_sup_norm,
     wiener_norm,
@@ -110,7 +109,6 @@ __all__ = [
     "modulation_mask",
     "multiplier_lower_bound",
     "op_norm",
-    "op_norm_sampled",
     "poisson_family",
     "power_iteration",
     "random_banded",

@@ -49,82 +49,28 @@ __all__ = [
 ]
 
 RELATIVE_PROFILE_TOLERANCE = 1e-3
+BOUNDARY_ANGLES = 8
 
 
-class OperatorSymbol:
-    """Operator-valued trigonometric polynomial ``t -> sum_l T_l e^{i l t}``."""
-
-    __slots__ = ("_coeffs", "_dim")
-
-    def __init__(self, coefficients: Mapping[int, np.ndarray]):
-        if not coefficients:
-            raise ValueError("operator symbol needs at least one coefficient")
-        coeffs = {}
-        dim = None
-        for offset, block in coefficients.items():
-            arr = np.array(block, dtype=complex)
-            arr.flags.writeable = False
-            if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-                raise DimensionMismatchError(arr.shape, ("d", "d"), "symbol block")
-            if dim is None:
-                dim = arr.shape[0]
-            elif arr.shape[0] != dim:
-                raise DimensionMismatchError(arr.shape, (dim, dim), "symbol block")
-            coeffs[int(offset)] = arr
-        self._coeffs = coeffs
-        self._dim = dim
-
-    @property
-    def dim(self) -> int:
-        return self._dim
-
-    @property
-    def degree(self) -> int:
-        return max(abs(l) for l in self._coeffs)
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self._coeffs))
-
-    def coeff(self, offset: int) -> np.ndarray:
-        block = self._coeffs.get(int(offset))
-        if block is None:
-            return np.zeros((self._dim, self._dim), dtype=complex)
-        return block
-
-    def eval(self, t: float) -> OperatorBlock:
-        return OperatorBlock(self.values(np.array([float(t)]))[0])
-
-    def values(self, t: np.ndarray) -> np.ndarray:
-        """Pointwise values, shape ``(len(t), d, d)``."""
-        t = np.asarray(t, dtype=float)
-        offsets = np.array(self.support())
-        blocks = np.stack([self._coeffs[int(l)] for l in offsets])
-        phases = np.exp(1j * np.outer(t, offsets))
-        return np.einsum("ql,lab->qab", phases, blocks)
-
-    def __repr__(self) -> str:
-        return f"OperatorSymbol(degree={self.degree}, dim={self._dim})"
-
-
-class VectorPolynomial:
-    """Vector-valued trigonometric polynomial ``t -> sum_l x_l e^{i l t}``."""
+class _TrigPolynomial:
+    """Trig polynomial ``t -> sum_l c_l e^{i l t}``, ``c_l`` of rank ``_rank``."""
 
     __slots__ = ("_coeffs", "_dim")
 
     def __init__(self, coefficients: Mapping[int, np.ndarray]):
         if not coefficients:
-            raise ValueError("vector polynomial needs at least one coefficient")
+            raise ValueError(f"{self._noun} needs at least one coefficient")
         coeffs = {}
         dim = None
         for offset, part in coefficients.items():
             arr = np.array(part, dtype=complex)
             arr.flags.writeable = False
-            if arr.ndim != 1:
-                raise DimensionMismatchError(arr.shape, ("d",), "polynomial part")
+            if arr.ndim != self._rank or len(set(arr.shape)) != 1:
+                raise DimensionMismatchError(arr.shape, ("d",) * self._rank, self._part)
             if dim is None:
                 dim = arr.shape[0]
             elif arr.shape[0] != dim:
-                raise DimensionMismatchError(arr.shape, (dim,), "polynomial part")
+                raise DimensionMismatchError(arr.shape, (dim,) * self._rank, self._part)
             coeffs[int(offset)] = arr
         self._coeffs = coeffs
         self._dim = dim
@@ -143,22 +89,45 @@ class VectorPolynomial:
     def coeff(self, offset: int) -> np.ndarray:
         part = self._coeffs.get(int(offset))
         if part is None:
-            return np.zeros(self._dim, dtype=complex)
+            return np.zeros((self._dim,) * self._rank, dtype=complex)
         return part
 
     def values(self, t: np.ndarray) -> np.ndarray:
+        """Pointwise values, shape ``(len(t),)`` plus the coefficient shape."""
         t = np.asarray(t, dtype=float)
         offsets = np.array(self.support())
         parts = np.stack([self._coeffs[int(l)] for l in offsets])
         phases = np.exp(1j * np.outer(t, offsets))
-        return phases @ parts
-
-    def sup_norm(self, grid_points: int | None = None) -> float:
-        """Grid supremum of the pointwise Euclidean norm."""
-        return symbol_sup_norm(self, grid_points=grid_points).value
+        flat = phases @ parts.reshape(len(offsets), -1)
+        return flat.reshape(-1, *parts.shape[1:])
 
     def __repr__(self) -> str:
-        return f"VectorPolynomial(degree={self.degree}, dim={self._dim})"
+        return f"{type(self).__name__}(degree={self.degree}, dim={self._dim})"
+
+
+class OperatorSymbol(_TrigPolynomial):
+    """Operator-valued trigonometric polynomial ``t -> sum_l T_l e^{i l t}``."""
+
+    __slots__ = ()
+    _rank = 2
+    _noun = "operator symbol"
+    _part = "symbol block"
+
+    def eval(self, t: float) -> OperatorBlock:
+        return OperatorBlock(self.values(np.array([float(t)]))[0])
+
+
+class VectorPolynomial(_TrigPolynomial):
+    """Vector-valued trigonometric polynomial ``t -> sum_l x_l e^{i l t}``."""
+
+    __slots__ = ()
+    _rank = 1
+    _noun = "vector polynomial"
+    _part = "polynomial part"
+
+    def sup_norm(self) -> float:
+        """Grid supremum of the pointwise Euclidean norm."""
+        return symbol_sup_norm(self).value
 
 
 @dataclass(frozen=True)
@@ -446,14 +415,13 @@ class BoundaryProfile:
 def boundary_profile(
     a: BlockMatrix,
     radii: Sequence[float],
-    grid_points: int = 8,
     tolerance: float | None = None,
 ) -> BoundaryProfile:
     """Profile the analytic extension along circles of growing radius.
 
-    The supremum over each circle is taken on a uniform angle grid;
-    modulation invariance makes the norm constant in the angle, so a
-    small grid suffices and larger grids only guard against misuse.
+    The supremum over each circle is taken on a uniform grid of
+    ``BOUNDARY_ANGLES`` angles; modulation invariance makes the norm
+    constant in the angle, so a small grid suffices.
     """
     radii = [float(r) for r in radii]
     if not radii:
@@ -461,7 +429,7 @@ def boundary_profile(
     reference = op_norm(a).value
     if tolerance is None:
         tolerance = RELATIVE_PROFILE_TOLERANCE * reference
-    angles = 2 * np.pi * np.arange(grid_points) / grid_points
+    angles = 2 * np.pi * np.arange(BOUNDARY_ANGLES) / BOUNDARY_ANGLES
     sups = []
     distances = []
     for r in radii:

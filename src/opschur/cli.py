@@ -8,12 +8,14 @@ assertion.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
 
 from .errors import NonConvergenceError, SerializationError
 from .experiments import (
+    TOLERANCE_KEYS,
     ExperimentConfig,
     ExperimentResult,
     experiment_names,
@@ -82,8 +84,10 @@ def _parse_tolerances(pairs: list[str], parser: _Parser) -> dict[str, float]:
             value = float(raw)
         except ValueError:
             parser.error(f"--tolerance value for {key!r} is not a number")
-        if value <= 0:
-            parser.error(f"--tolerance value for {key!r} must be positive")
+        if key not in TOLERANCE_KEYS:
+            parser.error(f"unknown --tolerance key {key!r}, not in {TOLERANCE_KEYS}")
+        if not (math.isfinite(value) and value > 0):
+            parser.error(f"--tolerance value for {key!r} must be finite and positive")
         tolerances[key] = value
     return tolerances
 

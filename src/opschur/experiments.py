@@ -28,12 +28,15 @@ __all__ = [
     "Table",
     "ExperimentResult",
     "REGISTRY",
+    "TOLERANCE_KEYS",
     "experiment_names",
     "run_experiment",
 ]
 
 IDENTITY_TOLERANCE = 1e-9
 BOUND_SLACK = 1e-8
+
+TOLERANCE_KEYS = ("profile",)  # the keys ExperimentConfig.tolerances may set
 
 
 @dataclass(frozen=True)

@@ -198,33 +198,24 @@ def quadrature_mean(values: np.ndarray) -> complex:
     return complex(np.mean(values))
 
 
+def _all_ones(size: int, dim: int) -> BlockMatrix:
+    """Toeplitz matrix with ``Id`` on every diagonal of the window."""
+    eye = np.eye(dim)
+    return BlockMatrix.toeplitz({l: eye for l in range(-(size - 1), size)}, size)
+
+
 def mask(symbol: ScalarSymbol, size: int, dim: int) -> BlockMatrix:
     """Toeplitz matrix with block ``coeff(l) * Id`` on diagonal ``l``.
 
     Stores the symbol support clipped to the truncation window; for
     unbounded symbols every offset ``|l| <= size - 1`` is stored.
     """
-    support = symbol.support()
-    if support is None:
-        offsets = np.arange(-(size - 1), size)
-    else:
-        offsets = np.array([l for l in support if abs(l) <= size - 1], dtype=int)
-        if offsets.size == 0:
-            offsets = np.array([0])
-    eye = np.eye(dim)
-    coeffs = symbol.coeff_array(offsets)
-    return BlockMatrix.toeplitz(
-        {int(l): c * eye for l, c in zip(offsets, coeffs)}, size
-    )
+    return smooth(_all_ones(size, dim), symbol)
 
 
 def modulation_mask(angle: float, size: int, dim: int) -> BlockMatrix:
     """Mask with unimodular coefficients ``e^{i l angle}`` on diagonal ``l``."""
-    offsets = np.arange(-(size - 1), size)
-    eye = np.eye(dim)
-    return BlockMatrix.toeplitz(
-        {int(l): np.exp(1j * l * angle) * eye for l in offsets}, size
-    )
+    return scale_diagonals(_all_ones(size, dim), lambda l: np.exp(1j * angle * l))
 
 
 def smooth(a: BlockMatrix, symbol: ScalarSymbol) -> BlockMatrix:
@@ -297,7 +288,6 @@ class KernelAxiomReport:
 
     kernel_name: str
     deltas: tuple[float, ...]
-    grid_points: int
     rows: tuple[KernelAxiomRow, ...]
     mean_one: bool
     uniform_l1: bool
@@ -312,28 +302,25 @@ def kernel_axiom_check(
     kernel: SummabilityKernel,
     orders: Sequence[int],
     deltas: Sequence[float] = (0.1, 0.5, 1.0),
-    grid_points: int = TORUS_GRID_POINTS,
 ) -> KernelAxiomReport:
     """Check the three summability axioms on a grid of orders.
 
     Means, L1 norms and tail masses come from trapezoid quadrature with
-    ``grid_points`` points; the tail at ``delta`` is the integral of
+    ``TORUS_GRID_POINTS`` points; the tail at ``delta`` is the integral of
     the kernel over ``delta <= |t| <= pi`` against normalized arc
     length.
     """
     orders = sorted(int(n) for n in orders)
     if not orders:
         raise ValueError("kernel_axiom_check needs at least one order")
-    t = torus_grid(grid_points)
+    t = torus_grid()
     tail_masks = [np.abs(t) >= float(delta) for delta in deltas]
     rows = []
     for n in orders:
         vals = kernel(n).values(t)
         mean = quadrature_mean(vals)
         l1 = float(np.mean(np.abs(vals)))
-        tails = tuple(
-            float(np.sum(vals[m].real) / grid_points) for m in tail_masks
-        )
+        tails = tuple(float(np.sum(vals[m].real) / len(t)) for m in tail_masks)
         rows.append(KernelAxiomRow(order=n, mean=mean, l1_norm=l1, tails=tails))
     mean_one = all(abs(row.mean - 1.0) <= MEAN_TOLERANCE for row in rows)
     if kernel.l1_bound is not None:
@@ -346,7 +333,6 @@ def kernel_axiom_check(
     return KernelAxiomReport(
         kernel_name=kernel.name,
         deltas=tuple(float(d) for d in deltas),
-        grid_points=int(grid_points),
         rows=tuple(rows),
         mean_one=mean_one,
         uniform_l1=uniform_l1,

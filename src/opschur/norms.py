@@ -1,11 +1,11 @@
 """Operator norms, certified estimates, and multiplier lower bounds.
 
 Every estimator states what it computed.  A :class:`NormEstimate`
-carries the value, the computation kind (exact decomposition,
-Lanczos, power iteration, or sampled lower bound), and where available
-a certificate: a vector or matrix that witnesses the value within the
-stated tolerance.  Multiplier norms are never reported as exact; only
-sampled lower bounds and analytic upper bounds are ever claimed.
+carries the value, the kind (``exact_svd`` or ``lanczos`` from
+:func:`op_norm`, ``sampled_lower_bound`` from the multiplier and
+coefficient-action bounds) and, where available, a certificate that
+witnesses the value.  Multiplier norms are never reported as exact.
+:func:`power_iteration` stays public only because the benchmark traces it.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .blocks import BlockVector, singular_triples
 from .errors import NonConvergenceError
-from .kernels import modulation_mask
+from .kernels import modulation_mask, torus_grid
 from .matrices import (
     DENSE,
     BlockMatrix,
@@ -36,7 +36,6 @@ __all__ = [
     "NormEstimate",
     "SupNorm",
     "op_norm",
-    "op_norm_sampled",
     "power_iteration",
     "wiener_norm",
     "symbol_sup_norm",
@@ -55,11 +54,11 @@ SUP_GRID_CAP = 2**16
 class NormEstimate:
     """A norm value together with how it was obtained.
 
-    ``kind`` is one of ``exact_svd``, ``lanczos``, ``power_iteration``
-    or ``sampled_lower_bound``; ``iterations`` counts the products with
-    ``A* A`` of the iterative kinds.  The certificate, when present, is
-    a unit :class:`BlockVector` (or a descriptor of a witness matrix)
-    that achieves the value within the tolerance of the kind.
+    ``kind`` is ``exact_svd`` or ``lanczos`` (from :func:`op_norm`) or
+    ``sampled_lower_bound``; ``iterations`` counts the Lanczos products
+    with ``A* A``.  The certificate, when present, is a unit
+    :class:`BlockVector` (or a descriptor of a witness matrix) that
+    achieves the value within the tolerance of the kind.
     """
 
     value: float
@@ -116,18 +115,18 @@ def power_iteration(
     raise NonConvergenceError(max_iter, "power iteration")
 
 
-def op_norm(a: BlockMatrix, seed: int = 0) -> NormEstimate:
+def op_norm(a: BlockMatrix) -> NormEstimate:
     """Operator norm of the truncation, with a maximizing certificate.
 
     Uses the exact decomposition of the flattened matrix when its side
-    is at most ``EXACT_SVD_LIMIT``.  Beyond that, seeded Lanczos on
-    ``A* A`` (kind ``lanczos``): banded and toeplitz matrices are driven
-    by :func:`apply` on the matrix and its adjoint and never densified,
-    dense ones by products with their flattening.  The value is ``|A v|``
-    for the unit certificate ``v``, at relative tolerance
-    ``POWER_TOLERANCE``.  If ``min(flat_size, EXACT_SVD_LIMIT)`` Krylov
-    steps do not converge, the exact path is taken up to side
-    ``8 * EXACT_SVD_LIMIT``.
+    is at most ``EXACT_SVD_LIMIT``.  Beyond that, Lanczos on ``A* A``
+    from a seed-0 start vector (kind ``lanczos``): banded and toeplitz
+    matrices are driven by :func:`apply` on the matrix and its adjoint
+    and never densified, dense ones by products with their flattening.
+    The value is ``|A v|`` for the unit certificate ``v``, at relative
+    tolerance ``POWER_TOLERANCE``.  If ``min(flat_size,
+    EXACT_SVD_LIMIT)`` Krylov steps do not converge, the exact path is
+    taken up to side ``8 * EXACT_SVD_LIMIT``.
 
     Raises
     ------
@@ -155,7 +154,7 @@ def op_norm(a: BlockMatrix, seed: int = 0) -> NormEstimate:
 
     steps = min(a.flat_size, EXACT_SVD_LIMIT)
     try:
-        value, vector, iterations = _lanczos(forward, backward, a.flat_size, seed, steps)
+        value, vector, iterations = _lanczos(forward, backward, a.flat_size, steps)
     except NonConvergenceError:
         if a.flat_size <= 8 * EXACT_SVD_LIMIT:
             return _exact_estimate(a, a.flatten())
@@ -166,9 +165,7 @@ def op_norm(a: BlockMatrix, seed: int = 0) -> NormEstimate:
     )
 
 
-def _lanczos(
-    forward, backward, n: int, seed: int, steps: int
-) -> tuple[float, np.ndarray, int]:
+def _lanczos(forward, backward, n: int, steps: int) -> tuple[float, np.ndarray, int]:
     """Top singular value of ``A`` by Lanczos on ``A* A``.
 
     ``forward`` and ``backward`` apply ``A`` and ``A*`` to flat vectors
@@ -186,7 +183,7 @@ def _lanczos(
     NonConvergenceError
         When ``steps`` Krylov steps do not converge; carries ``steps``.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     q = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     q /= np.linalg.norm(q)
     basis = np.empty((min(steps, 16), n), dtype=complex)
@@ -227,25 +224,6 @@ def _exact_estimate(a: BlockMatrix, flat: np.ndarray) -> NormEstimate:
     return NormEstimate(value=float(s[0]), kind="exact_svd", certificate=certificate)
 
 
-def op_norm_sampled(a: BlockMatrix, samples: int, seed: int = 0) -> NormEstimate:
-    """Lower bound ``max |a x|`` over seeded random unit vectors.
-
-    Never exceeds the exact norm; the certificate is the best sample.
-    """
-    flat = a.flatten()
-    rng = np.random.default_rng(seed)
-    best = -1.0
-    best_x = None
-    for _ in range(samples):
-        x = random_vector(a.size, a.dim, rng, unit=True)
-        value = float(np.linalg.norm(flat @ x.flatten()))
-        if value > best:
-            best, best_x = value, x
-    return NormEstimate(
-        value=best, kind="sampled_lower_bound", certificate=best_x, samples=samples
-    )
-
-
 def wiener_norm(a: BlockMatrix) -> float:
     """Sum over diagonals of the largest block norm on each diagonal.
 
@@ -263,8 +241,7 @@ def _refined_sup(point_sups: Callable[[np.ndarray], np.ndarray], start: int) -> 
     points = max(64, int(start))
     previous = None
     while True:
-        t = -np.pi + 2 * np.pi * np.arange(points) / points
-        value = float(np.max(point_sups(t)))
+        value = float(np.max(point_sups(torus_grid(points))))
         if previous is not None and abs(value - previous) <= SUP_REFINEMENT_TOLERANCE:
             return SupNorm(value=value, grid_points=points)
         if points >= SUP_GRID_CAP:
@@ -273,17 +250,14 @@ def _refined_sup(point_sups: Callable[[np.ndarray], np.ndarray], start: int) -> 
         points *= 2
 
 
-def symbol_sup_norm(symbol, grid_points: int | None = None) -> SupNorm:
+def symbol_sup_norm(symbol) -> SupNorm:
     """Supremum of ``|symbol(t)|`` over the torus, on a finite grid.
 
     ``symbol`` needs a ``values(t)`` method returning per-point d x d
     matrices (operator symbols) or vectors; the pointwise norm is the
-    spectral norm or the Euclidean norm accordingly.  With
-    ``grid_points`` set, a single uniform grid of that many points is
-    used and must resolve the symbol: at least ``4 * (degree + 1)``
-    points.  Without it, the grid is doubled until the supremum moves
-    by at most ``SUP_REFINEMENT_TOLERANCE``, the default policy for
-    acceptance runs.
+    spectral norm or the Euclidean norm accordingly.  The grid starts
+    at ``4 * (degree + 1)`` points (at least 64) and is doubled until
+    the supremum moves by at most ``SUP_REFINEMENT_TOLERANCE``.
     """
 
     def point_sups(t: np.ndarray) -> np.ndarray:
@@ -295,15 +269,6 @@ def symbol_sup_norm(symbol, grid_points: int | None = None) -> SupNorm:
         return np.abs(vals)
 
     degree = getattr(symbol, "degree", None) or 0
-    if grid_points is not None:
-        floor = 4 * (degree + 1)
-        if grid_points < floor:
-            raise ValueError(
-                f"{grid_points} grid points cannot resolve degree {degree}; "
-                f"need at least {floor}"
-            )
-        t = -np.pi + 2 * np.pi * np.arange(grid_points) / grid_points
-        return SupNorm(value=float(np.max(point_sups(t))), grid_points=grid_points)
     return _refined_sup(point_sups, 4 * (degree + 1))
 
 

@@ -109,19 +109,20 @@ def _offset_items(items: list, field: str, size: int | None = None):
     """``(offset, item)`` for each entry of an offset-keyed list ``field``.
 
     ``items`` must be a non-empty list of objects with distinct offsets,
-    inside ``[-(N-1), N-1]`` when a size ``N`` is given; the checks cost
-    one pass over the items.
+    inside ``[-(N-1), N-1]`` for a size ``N``, else in the int64 range;
+    the checks cost one pass over the items.
     """
     if not items:
         raise SerializationError(field, "needs at least one stored offset")
+    bound = int(np.iinfo(np.int64).max) if size is None else size - 1
     seen = set()
     for index, item in enumerate(items):
         if not isinstance(item, dict):
             raise SerializationError(f"{field}[{index}]", "expected an object")
         offset = _require(item, "offset", int)
-        if size is not None and abs(offset) > size - 1:
+        if abs(offset) > bound:
             raise SerializationError(
-                "offset", f"offset {offset} outside [{-(size - 1)}, {size - 1}]"
+                "offset", f"offset {offset} outside [{-bound}, {bound}]"
             )
         if offset in seen:
             raise SerializationError("offset", f"duplicate offset {offset}")
@@ -140,10 +141,13 @@ def _parse_pair(value, field: str) -> complex:
     if (
         not isinstance(value, list)
         or len(value) != 2
-        or not all(isinstance(x, (int, float)) for x in value)
+        or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in value)
     ):
         raise SerializationError(field, "complex values are [real, imag] pairs")
-    return complex(value[0], value[1])
+    try:
+        return complex(value[0], value[1])
+    except OverflowError:
+        raise SerializationError(field, "values must be finite") from None
 
 
 def _parse_block(value, dim: int, field: str) -> np.ndarray:
@@ -205,13 +209,14 @@ def matrix_from_payload(payload: dict) -> BlockMatrix:
     if structure == DENSE:
         if len(data) != size:
             raise SerializationError("data", f"expected {size} rows")
-        blocks = np.zeros((size, size, dim, dim), dtype=complex)
+        rows = []
         for k, row in enumerate(data):
             if not isinstance(row, list) or len(row) != size:
                 raise SerializationError("data", f"expected {size} columns")
-            for j, cell in enumerate(row):
-                blocks[k, j] = _parse_block(cell, dim, f"data[{k}][{j}]")
-        return BlockMatrix.dense(_finite(blocks, "data"))
+            rows.append([
+                _parse_block(cell, dim, f"data[{k}][{j}]") for j, cell in enumerate(row)
+            ])
+        return BlockMatrix.dense(_finite(np.array(rows), "data"))
     if structure == TOEPLITZ:
         coeffs = {}
         for offset, item in _offset_items(data, "data", size):
@@ -283,7 +288,7 @@ def symbol_from_payload(payload: dict) -> ScalarSymbol:
     field, field_kind, make = _SYMBOL_PARAMETERS[kind]
     try:
         return make(_require(payload, field, field_kind))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise SerializationError(field, str(exc)) from exc
 
 
@@ -327,16 +332,38 @@ def profile_to_payload(profile: ConvergenceProfile) -> dict:
     }
 
 
+def _numbers(values: list, field: str) -> list:
+    """``values`` unchanged if all are finite JSON numbers, not booleans."""
+    if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
+        raise SerializationError(field, "expected numbers")
+    try:
+        _finite(np.array(values, dtype=float), field)
+    except OverflowError:
+        raise SerializationError(field, "values must be finite") from None
+    return values
+
+
 def profile_from_payload(payload: dict) -> ConvergenceProfile:
+    """Profile of a payload; SerializationError names any malformed field."""
     _typed(payload, "convergence_profile")
+    indices = _numbers(_require(payload, "indices", list), "indices")
+    distances = _numbers(_require(payload, "distances", list), "distances")
+    if not indices:
+        raise SerializationError("indices", "needs at least one index")
+    if len(distances) != len(indices):
+        raise SerializationError("distances", f"expected {len(indices)}, one per index")
+    threshold = _require(payload, "threshold_index")
+    _numbers([] if threshold is None else [threshold], "threshold_index")
+    scalars = {
+        field: _numbers([_require(payload, field, (int, float))], field)[0]
+        for field in ("tolerance", "reference_norm", "floor")
+    }
     return ConvergenceProfile(
-        indices=tuple(_require(payload, "indices", list)),
-        distances=tuple(_require(payload, "distances", list)),
-        tolerance=_require(payload, "tolerance", (int, float)),
-        reference_norm=_require(payload, "reference_norm", (int, float)),
+        indices=tuple(indices),
+        distances=tuple(distances),
         converged=_require(payload, "converged", bool),
-        threshold_index=payload.get("threshold_index"),
-        floor=_require(payload, "floor", (int, float)),
+        threshold_index=threshold,
+        **scalars,
     )
 
 

@@ -80,6 +80,22 @@ class TestConfigErrors:
         assert result.returncode == 1
         assert "not a number" in result.stderr
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_tolerance(self, value, tmp_path):
+        result = run_cli("run", "--experiment", "sigma-profiles", "--check",
+                         "--tolerance", f"profile={value}",
+                         "--out", str(tmp_path / "out"))
+        assert result.returncode == 1
+        assert "'profile' must be finite and positive" in result.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_tolerance_key(self, tmp_path):
+        result = run_cli("run", "--experiment", "kernel-axioms",
+                         "--tolerance", "bogus=1", "--out", str(tmp_path / "out"))
+        assert result.returncode == 1
+        assert "unknown --tolerance key 'bogus'" in result.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_bad_tolerance_shape(self):
         result = run_cli("run", "--tolerance", "profile")
         assert result.returncode == 1

@@ -19,7 +19,6 @@ from opschur.norms import (
     NormEstimate,
     multiplier_lower_bound,
     op_norm,
-    op_norm_sampled,
     power_iteration,
     symbol_sup_norm,
     wiener_norm,
@@ -180,26 +179,6 @@ class TestPowerIteration:
         assert value == 0.0
 
 
-class TestSampled:
-    @given(seeds)
-    @settings(max_examples=20, deadline=None)
-    def test_never_exceeds_exact(self, seed):
-        rng = np.random.default_rng(seed)
-        a = random_dense(6, 2, rng)
-        estimate = op_norm_sampled(a, samples=32, seed=seed)
-        assert estimate.kind == "sampled_lower_bound"
-        assert estimate.value <= float(op_norm(a)) + 1e-9
-
-    def test_certificate_consistency(self):
-        rng = np.random.default_rng(7)
-        a = random_dense(6, 2, rng)
-        estimate = op_norm_sampled(a, samples=16, seed=8)
-        witness = estimate.certificate
-        assert apply(a, witness).norm() == pytest.approx(estimate.value,
-                                                         rel=1e-10)
-        assert estimate.samples == 16
-
-
 class TestWienerNorm:
     def test_scalar_mask_sums_coefficients(self):
         assert wiener_norm(mask(ScalarSymbol.fejer(2), 8, 2)) == pytest.approx(3.0)
@@ -226,17 +205,6 @@ class TestSymbolSupNorm:
     def test_poisson_peak(self):
         s = ScalarSymbol.poisson(0.5)
         assert float(symbol_sup_norm(s)) == pytest.approx(3.0, abs=1e-6)
-
-    def test_explicit_grid_too_coarse_rejected(self):
-        s = ScalarSymbol.fejer(8)
-        with pytest.raises(ValueError):
-            symbol_sup_norm(s, grid_points=16)
-
-    def test_grid_points_recorded(self):
-        s = ScalarSymbol.trig_polynomial({0: 1.0})
-        result = symbol_sup_norm(s, grid_points=64)
-        assert result.grid_points == 64
-        assert float(result) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestMultiplierLowerBound:

@@ -13,7 +13,7 @@ from opschur.matrices import (
     random_dense,
     random_toeplitz,
 )
-from opschur.norms import op_norm, op_norm_sampled
+from opschur.norms import multiplier_lower_bound, op_norm
 from opschur.serialize import (
     convert,
     dumps_canonical,
@@ -153,6 +153,14 @@ def _infinite_run(p):
     p["data"][1]["blocks"][2][0][0] = [float("-inf"), 1.0]
 
 
+def _boolean_cell(p):
+    p["data"][0]["block"][0][0] = [True, False]
+
+
+def _overflowing_cell(p):
+    p["data"][0]["blocks"][0][1][1] = [0.0, -(10**400)]
+
+
 MALFORMED = {
     # name: (payload factory, mutation, field named by the error)
     "empty-toeplitz-data": (_toeplitz_payload, _empty_data, "data"),
@@ -166,6 +174,8 @@ MALFORMED = {
     "nan-dense-cell": (_dense_payload, _nan_cell, "data"),
     "infinite-toeplitz-block": (_toeplitz_payload, _infinite_block, "offset 1"),
     "infinite-banded-run": (_banded_payload, _infinite_run, "offset 1"),
+    "boolean-cell": (_toeplitz_payload, _boolean_cell, "offset 0[0][0]"),
+    "overflowing-cell": (_banded_payload, _overflowing_cell, "offset 0[0][1][1]"),
 }
 
 
@@ -241,10 +251,14 @@ class TestSymbolPayload:
             ({"type": "scalar_symbol", "kind": "fejer", "n": -1}, "n"),
             ({"type": "scalar_symbol", "kind": "poisson", "r": 1.5}, "r"),
             ({"type": "scalar_symbol", "kind": "poisson", "r": float("nan")}, "r"),
+            ({"type": "scalar_symbol", "kind": "poisson", "r": 10**400}, "r"),
+            ({"type": "scalar_symbol", "kind": "trigpoly",
+              "coeffs": [{"offset": 2**63, "value": [1.0, 0.0]}]}, "offset"),
         ],
         ids=["non-object-document", "empty-coeffs", "non-object-coeff",
              "duplicate-offset", "nan-coefficient", "negative-order",
-             "radius-above-one", "nan-radius"],
+             "radius-above-one", "nan-radius", "overflowing-radius",
+             "offset-beyond-64-bits"],
     )
     def test_malformed_rejected_naming_the_field(self, payload, field):
         with pytest.raises(SerializationError) as err:
@@ -267,7 +281,7 @@ class TestEstimatePayload:
 
     def test_sampled_estimate(self):
         rng = np.random.default_rng(4)
-        est = op_norm_sampled(random_dense(4, 2, rng), samples=8)
+        est = multiplier_lower_bound(random_dense(4, 2, rng), trials=8)
         payload = estimate_to_payload(est)
         assert payload["samples"] == 8
         assert payload["value"] == pytest.approx(est.value)
@@ -283,6 +297,42 @@ class TestProfilePayload:
         profile = self._profile()
         back = profile_from_payload(profile_to_payload(profile))
         assert back == profile
+
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [
+            ("indices", ["x", 4.0, 16.0], "indices"),
+            ("indices", [None, 4.0, 16.0], "indices"),
+            ("indices", [], "indices"),
+            ("indices", [1.0, float("inf"), 16.0], "indices"),
+            ("indices", [1.0, 4.0, 10**400], "indices"),
+            ("distances", [0.5, True, 0.1], "distances"),
+            ("distances", [0.5, float("nan"), 0.1], "distances"),
+            ("distances", [0.5, 0.1], "distances"),
+            ("threshold_index", "abc", "threshold_index"),
+            ("threshold_index", False, "threshold_index"),
+            ("threshold_index", float("nan"), "threshold_index"),
+            ("tolerance", float("inf"), "tolerance"),
+            ("floor", float("nan"), "floor"),
+        ],
+        ids=["string-index", "null-index", "no-indices", "infinite-index",
+             "overflowing-index", "boolean-distance", "nan-distance",
+             "lengths-differ", "string-threshold", "boolean-threshold",
+             "nan-threshold", "infinite-tolerance", "nan-floor"],
+    )
+    def test_malformed_rejected_naming_the_field(self, field, value, named):
+        payload = profile_to_payload(self._profile())
+        payload[field] = value
+        with pytest.raises(SerializationError) as err:
+            profile_from_payload(payload)
+        assert err.value.field == named
+
+    def test_missing_threshold_rejected(self):
+        payload = profile_to_payload(self._profile())
+        del payload["threshold_index"]
+        with pytest.raises(SerializationError) as err:
+            profile_from_payload(payload)
+        assert err.value.field == "threshold_index"
 
     def test_csv_rows(self):
         profile = self._profile()
