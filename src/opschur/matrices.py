@@ -62,11 +62,6 @@ BANDED = "banded"
 _STRUCTURES = (DENSE, TOEPLITZ, BANDED)
 
 
-def _diag_rows(size: int, offset: int) -> np.ndarray:
-    """Row indices of the entries on a diagonal; columns are rows + offset."""
-    return np.arange(max(0, -offset), size - max(0, offset))
-
-
 def _frozen(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=complex)
     out.flags.writeable = False
@@ -263,7 +258,7 @@ class BlockMatrix:
         if cached is None:
             out = np.zeros((self._size, self._size, self._dim, self._dim), dtype=complex)
             for offset, run in self._diagonals.items():
-                rows = _diag_rows(self._size, offset)
+                rows = np.arange(max(0, -offset), self._size - max(0, offset))
                 out[rows, rows + offset] = run
             cached = _frozen(out)
             self._cache["dense"] = cached
@@ -352,8 +347,8 @@ def apply(a: BlockMatrix, x: BlockVector) -> BlockVector:
         return BlockVector(np.einsum("kjab,jb->ka", a._dense, x.parts))
     out = np.zeros((a.size, a.dim), dtype=complex)
     for offset, run in a._diagonals.items():
-        rows = _diag_rows(a.size, offset)
-        out[rows] += np.einsum("kab,kb->ka", run, x.parts[rows + offset])
+        lo, hi = max(0, -offset), a.size - max(0, offset)
+        out[lo:hi] += np.einsum("kab,kb->ka", run, x.parts[lo + offset:hi + offset])
     return BlockVector(out)
 
 

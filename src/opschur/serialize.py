@@ -5,6 +5,10 @@ Interchange payloads are plain JSON with complex numbers as
 compact separators, and floats go through their shortest round-trip
 representation, so load followed by dump reproduces the original bytes
 exactly.  Values must be finite: ``NaN`` and ``Infinity`` are not JSON.
+Matrix and symbol entries are written and read as whole numpy arrays: the
+writer's bytes match a cell-by-cell ``[z.real, z.imag]`` dump exactly,
+signed zeros included; the reader checks a whole array at once, walking it
+again only when it fails, to name the first bad cell in row-major order.
 Experiment tables are output, not interchange: in CSV and JSON alike
 their floats are rounded to 12 significant digits, and CSV splits
 complex columns into real and imaginary parts.
@@ -62,13 +66,10 @@ def load_json(path):
         raise SerializationError("<document>", f"invalid JSON: {exc}") from exc
 
 
-def _pair(z: complex) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def _block_lists(block: np.ndarray) -> list:
-    return [[_pair(z) for z in row] for row in np.asarray(block, dtype=complex)]
+def _pairs(arr) -> list:
+    """Nested lists of ``[real, imag]`` Python floats, one pair per entry."""
+    arr = np.ascontiguousarray(arr, dtype=complex)
+    return arr.view(float).reshape(*arr.shape, 2).tolist()
 
 
 def _require(payload: dict, field: str, kind=None):
@@ -137,29 +138,45 @@ def _finite(values: np.ndarray, field: str) -> np.ndarray:
     return values
 
 
-def _parse_pair(value, field: str) -> complex:
-    if (
-        not isinstance(value, list)
-        or len(value) != 2
-        or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in value)
-    ):
-        raise SerializationError(field, "complex values are [real, imag] pairs")
+def _parse_pairs(value, shape: tuple, field: str) -> np.ndarray:
+    """Complex array of ``shape`` from nested ``[real, imag]`` pairs, checked
+    and cast in bulk; cell types are checked first, since a float cast takes
+    ``true`` and ``"1.5"``.  The caller checks finiteness."""
     try:
-        return complex(value[0], value[1])
-    except OverflowError:
-        raise SerializationError(field, "values must be finite") from None
+        arr = np.array(value, dtype=object)
+        if arr.shape != shape + (2,) or not set(map(type, arr.flat)) <= {int, float}:
+            raise ValueError
+        values = arr.astype(float)
+    except (ValueError, OverflowError):
+        _bad_place(value, shape, field)
+        values = np.array(value, dtype=float)  # cells of float subclasses
+    return values.view(complex)[..., 0]
 
 
-def _parse_block(value, dim: int, field: str) -> np.ndarray:
-    if not isinstance(value, list) or len(value) != dim:
-        raise SerializationError(field, f"expected {dim} rows")
-    out = np.zeros((dim, dim), dtype=complex)
-    for i, row in enumerate(value):
-        if not isinstance(row, list) or len(row) != dim:
-            raise SerializationError(field, f"expected {dim} entries per row")
-        for j, cell in enumerate(row):
-            out[i, j] = _parse_pair(cell, f"{field}[{i}][{j}]")
-    return out
+def _bad_place(value, shape: tuple, field: str, index: tuple = ()) -> None:
+    """Raise SerializationError at the first place, row-major, where ``value``
+    is not ``shape`` nested lists of number pairs.  Errors inside a ``d x d``
+    block name the indices above it (``data[k][j]``), a cell all of its
+    indices (``data[k][j][r][c]``), a level above the blocks ``field``."""
+    depth = len(index)
+    if depth == len(shape):
+        name = field + "".join(f"[{i}]" for i in index)
+        if not isinstance(value, list) or len(value) != 2 or any(
+            isinstance(x, bool) or not isinstance(x, (int, float)) for x in value
+        ):
+            raise SerializationError(name, "complex values are [real, imag] pairs")
+        try:
+            complex(*value)
+        except OverflowError:
+            raise SerializationError(name, "values must be finite") from None
+    elif not isinstance(value, list) or len(value) != shape[depth]:
+        left = len(shape) - depth
+        where = "".join(f"[{i}]" for i in index[: len(shape) - 2]) if left <= 2 else ""
+        what = {1: "entries per row", 2: "rows"}.get(left, "columns" if depth else "rows")
+        raise SerializationError(field + where, f"expected {shape[depth]} {what}")
+    else:
+        for i, item in enumerate(value):
+            _bad_place(item, shape, field, index + (i,))
 
 
 def matrix_to_payload(a: BlockMatrix) -> dict:
@@ -172,22 +189,15 @@ def matrix_to_payload(a: BlockMatrix) -> dict:
         "upper_triangular": bool(a.upper_triangular),
     }
     if a.structure == DENSE:
-        blocks = a.blocks()
-        payload["data"] = [
-            [_block_lists(blocks[k, j]) for j in range(a.size)]
-            for k in range(a.size)
-        ]
+        payload["data"] = _pairs(a.blocks())
     elif a.structure == TOEPLITZ:
         payload["data"] = [
-            {"offset": l, "block": _block_lists(a.diagonal_run(l)[0])}
+            {"offset": l, "block": _pairs(a.diagonal_run(l)[0])}
             for l in a.diagonal_support()
         ]
     else:
         payload["data"] = [
-            {
-                "offset": l,
-                "blocks": [_block_lists(b) for b in a.diagonal_run(l)],
-            }
+            {"offset": l, "blocks": _pairs(a.diagonal_run(l))}
             for l in a.diagonal_support()
         ]
     return payload
@@ -205,51 +215,42 @@ def matrix_from_payload(payload: dict) -> BlockMatrix:
     size = _positive(payload, "N")
     dim = _positive(payload, "d")
     structure = _require(payload, "structure", str)
+    upper = _require(payload, "upper_triangular", bool)
     data = _require(payload, "data", list)
     if structure == DENSE:
-        if len(data) != size:
-            raise SerializationError("data", f"expected {size} rows")
-        rows = []
-        for k, row in enumerate(data):
-            if not isinstance(row, list) or len(row) != size:
-                raise SerializationError("data", f"expected {size} columns")
-            rows.append([
-                _parse_block(cell, dim, f"data[{k}][{j}]") for j, cell in enumerate(row)
-            ])
-        return BlockMatrix.dense(_finite(np.array(rows), "data"))
-    if structure == TOEPLITZ:
+        blocks = _parse_pairs(data, (size, size, dim, dim), "data")
+        matrix = BlockMatrix.dense(_finite(blocks, "data"))
+    elif structure == TOEPLITZ:
         coeffs = {}
         for offset, item in _offset_items(data, "data", size):
-            coeffs[offset] = _finite(
-                _parse_block(_require(item, "block"), dim, f"offset {offset}"),
-                f"offset {offset}",
-            )
-        return BlockMatrix.toeplitz(coeffs, size)
-    if structure == BANDED:
+            name = f"offset {offset}"
+            block = _parse_pairs(_require(item, "block"), (dim, dim), name)
+            coeffs[offset] = _finite(block, name)
+        matrix = BlockMatrix.toeplitz(coeffs, size)
+    elif structure == BANDED:
         diagonals = {}
         for offset, item in _offset_items(data, "data", size):
+            name, length = f"offset {offset}", size - abs(offset)
             runs = _require(item, "blocks", list)
-            if len(runs) != size - abs(offset):
-                raise SerializationError(
-                    "blocks", f"offset {offset} needs {size - abs(offset)} blocks"
-                )
-            run = np.stack(
-                [
-                    _parse_block(b, dim, f"offset {offset}[{i}]")
-                    for i, b in enumerate(runs)
-                ]
-            )
-            diagonals[offset] = _finite(run, f"offset {offset}")
-        return BlockMatrix.banded(diagonals, size)
-    raise SerializationError("structure", f"unknown structure {structure!r}")
+            if len(runs) != length:
+                raise SerializationError("blocks", f"{name} needs {length} blocks")
+            run = _parse_pairs(runs, (length, dim, dim), name)
+            diagonals[offset] = _finite(run, name)
+        matrix = BlockMatrix.banded(diagonals, size)
+    else:
+        raise SerializationError("structure", f"unknown structure {structure!r}")
+    if matrix.upper_triangular != upper:
+        raise SerializationError("upper_triangular", "contradicts the entries")
+    return matrix
 
 
 def symbol_to_payload(symbol: ScalarSymbol) -> dict:
     payload = {"type": "scalar_symbol", "kind": symbol.kind}
     if symbol.kind == "trigpoly":
         support = symbol.support()
+        values = _pairs(symbol.coeff_array(np.array(support)))
         payload["coeffs"] = [
-            {"offset": int(l), "value": _pair(symbol.coeff(l))} for l in support
+            {"offset": int(l), "value": value} for l, value in zip(support, values)
         ]
     elif symbol.kind in ("fejer", "dirichlet"):
         payload["n"] = int(symbol.param)
@@ -278,7 +279,7 @@ def symbol_from_payload(payload: dict) -> ScalarSymbol:
     kind = _require(_typed(payload, "scalar_symbol"), "kind", str)
     if kind == "trigpoly":
         coeffs = {
-            offset: _parse_pair(_require(item, "value"), f"offset {offset}")
+            offset: complex(_parse_pairs(_require(item, "value"), (), f"offset {offset}"))
             for offset, item in _offset_items(_require(payload, "coeffs", list), "coeffs")
         }
         _finite(np.array(list(coeffs.values())), "coeffs")

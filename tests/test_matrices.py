@@ -251,6 +251,25 @@ class TestApply:
         with pytest.raises(DimensionMismatchError):
             apply(a, random_vector(a.size + 1, a.dim, rng))
 
+    @pytest.mark.parametrize("kind", [TOEPLITZ, BANDED])
+    @pytest.mark.parametrize("size", [1, 2, 5])
+    def test_bitwise_on_outermost_diagonals(self, kind, size):
+        """Integer-valued entries make every sum exact, so apply must agree
+        with the reference bit for bit; offsets +-(N-1) hold one block."""
+        rng = np.random.default_rng(15)
+
+        def ints(*shape):
+            return rng.integers(-9, 10, shape) + 1j * rng.integers(-9, 10, shape)
+
+        offsets = sorted({-(size - 1), 0, size - 1})
+        if kind == TOEPLITZ:
+            a = BlockMatrix.toeplitz({l: ints(3, 3) for l in offsets}, size)
+        else:
+            a = BlockMatrix.banded({l: ints(size - abs(l), 3, 3) for l in offsets}, size)
+        x = BlockVector(ints(size, 3))
+        want = apply_reference(a.blocks(), x.parts)
+        assert np.array_equal(apply(a, x).parts.view(float), want.view(float))
+
 
 class TestRankOneAndTensor:
     def test_rank_one_entries(self):

@@ -2,8 +2,8 @@
 SerializationError or loads into a value whose canonical dump is strict
 JSON and reads back to the same bytes.  No other exception escapes a
 reader.  An accepted document need not equal its dump: the readers
-normalise integers written where floats belong, the order of offsets,
-and the ``upper_triangular`` flag, which is derived from the entries."""
+normalise integers written where floats belong and the order of offsets.
+A matrix's ``upper_triangular`` flag must agree with its entries."""
 
 import json
 

@@ -68,6 +68,34 @@ class TestMatrixPayload:
         assert [item["offset"] for item in payload["data"]] == [0, 2]
         assert payload["data"][0]["block"][0][0] == [1.0, 0.0]
 
+    def test_canonical_bytes_are_pinned(self):
+        """Signed zeros, subnormals, huge and integral floats keep their bytes."""
+        dense = BlockMatrix.dense(np.array(
+            [[[[complex(-0.0, 1.0)]], [[complex(5e-324, -0.0)]]],
+             [[[complex(-0.0, -0.0)]], [[complex(1e300, -3.0)]]]]))
+        toeplitz = BlockMatrix.toeplitz(
+            {-1: [[1e300, complex(-0.0, 0.0)], [5e-324j, 2.0]],
+             1: [[complex(-1.5, -0.0), 0], [0, 7j]]}, 3)
+        banded = BlockMatrix.banded(
+            {0: [[[complex(-0.0, 4.0)]], [[1.0]], [[complex(5e-324, 1e300)]]],
+             2: [[[complex(-3.0, -0.0)]]]}, 3)
+        golden = [
+            '{"N":2,"d":1,"data":[[[[[-0.0,1.0]]],[[[5e-324,-0.0]]]],[[[[-0.0,-0.0]]],'
+            '[[[1e+300,-3.0]]]]],"structure":"dense","type":"block_matrix",'
+            '"upper_triangular":true}\n',
+            '{"N":3,"d":2,"data":[{"block":[[[1e+300,0.0],[-0.0,0.0]],[[0.0,5e-324],'
+            '[2.0,0.0]]],"offset":-1},{"block":[[[-1.5,-0.0],[0.0,0.0]],[[0.0,0.0],'
+            '[0.0,7.0]]],"offset":1}],"structure":"toeplitz","type":"block_matrix",'
+            '"upper_triangular":false}\n',
+            '{"N":3,"d":1,"data":[{"blocks":[[[[-0.0,4.0]]],[[[1.0,0.0]]],'
+            '[[[5e-324,1e+300]]]],"offset":0},{"blocks":[[[[-3.0,-0.0]]]],"offset":2}],'
+            '"structure":"banded","type":"block_matrix","upper_triangular":true}\n',
+        ]
+        for a, text in zip((dense, toeplitz, banded), golden):
+            assert dumps_canonical(matrix_to_payload(a)) == text
+            assert dumps_canonical(matrix_to_payload(matrix_from_payload(
+                json.loads(text)))) == text
+
     def test_missing_field_named(self):
         payload = matrix_to_payload(BlockMatrix.identity(3, 2))
         del payload["structure"]
@@ -161,6 +189,21 @@ def _overflowing_cell(p):
     p["data"][0]["blocks"][0][1][1] = [0.0, -(10**400)]
 
 
+def _put(value, *path):
+    """Mutation that sets the place ``path`` of a payload to ``value``."""
+
+    def mutate(p):
+        for key in path[:-1]:
+            p = p[key]
+        p[path[-1]] = value
+
+    return mutate
+
+
+def _no_upper_flag(p):
+    del p["upper_triangular"]
+
+
 MALFORMED = {
     # name: (payload factory, mutation, field named by the error)
     "empty-toeplitz-data": (_toeplitz_payload, _empty_data, "data"),
@@ -176,6 +219,26 @@ MALFORMED = {
     "infinite-banded-run": (_banded_payload, _infinite_run, "offset 1"),
     "boolean-cell": (_toeplitz_payload, _boolean_cell, "offset 0[0][0]"),
     "overflowing-cell": (_banded_payload, _overflowing_cell, "offset 0[0][1][1]"),
+    "numeric-string-cell": (
+        _toeplitz_payload, _put(["1.5", 0.0], "data", 0, "block", 1, 0), "offset 0[1][0]"),
+    "null-cell": (
+        _banded_payload, _put(None, "data", 1, "blocks", 0, 1, 0), "offset 1[0][1][0]"),
+    "object-cell": (_dense_payload, _put({}, "data", 1, 0, 0, 1), "data[1][0][0][1]"),
+    "three-element-pair": (
+        _toeplitz_payload, _put([1.0, 0.0, 0.0], "data", 1, "block", 0, 1),
+        "offset 1[0][1]"),
+    "ragged-block-row": (
+        _banded_payload, _put([[0.0, 0.0]], "data", 0, "blocks", 2, 1), "offset 0[2]"),
+    "boolean-dense-cell": (
+        _dense_payload, _put([0.0, True], "data", 0, 0, 1, 1), "data[0][0][1][1]"),
+    "overflowing-toeplitz-cell": (
+        _toeplitz_payload, _put([10**400, 0.0], "data", 1, "block", 0, 0),
+        "offset 1[0][0]"),
+    "missing-upper-flag": (_banded_payload, _no_upper_flag, "upper_triangular"),
+    "string-upper-flag": (
+        _toeplitz_payload, _put("true", "upper_triangular"), "upper_triangular"),
+    "contradicting-upper-flag": (
+        _dense_payload, _put(True, "upper_triangular"), "upper_triangular"),
 }
 
 
