@@ -1,9 +1,9 @@
 """Operator norms, certified estimates, and multiplier lower bounds.
 
 Every estimator states what it computed.  A :class:`NormEstimate`
-carries the value, the kind (``exact_svd`` or ``lanczos`` from
-:func:`op_norm`, ``sampled_lower_bound`` from the multiplier and
-coefficient-action bounds) and, where available, a certificate that
+carries the value, the kind (``exact_svd``, ``lanczos`` or
+``shift_invert`` from :func:`op_norm`, ``sampled_lower_bound`` from the
+multiplier and coefficient-action bounds) and, where available, a certificate that
 witnesses the value.  Multiplier norms are never reported as exact.
 :func:`power_iteration` stays public only because the benchmark traces it.
 """
@@ -46,6 +46,14 @@ EXACT_SVD_LIMIT = 512
 POWER_TOLERANCE = 1e-8
 POWER_ITERATION_CAP = 10**4
 
+# Lanczos tests its first _HANDOFF_STEPS steps one by one, and banded and
+# toeplitz matrices get no more before the shift-and-invert finish.  Three
+# solves per factorization and super-blocks of 2b block rows (at least 4,
+# for narrow bands) measured fastest on smooth-symbol toeplitz matrices.
+_HANDOFF_STEPS = 32
+_SOLVES_PER_FACTORIZATION = 3
+_FACTORIZATION_CAP = 32
+
 SUP_REFINEMENT_TOLERANCE = 1e-6
 SUP_GRID_CAP = 2**16
 
@@ -54,11 +62,15 @@ SUP_GRID_CAP = 2**16
 class NormEstimate:
     """A norm value together with how it was obtained.
 
-    ``kind`` is ``exact_svd`` or ``lanczos`` (from :func:`op_norm`) or
-    ``sampled_lower_bound``; ``iterations`` counts the Lanczos products
-    with ``A* A``.  The certificate, when present, is a unit
-    :class:`BlockVector` (or a descriptor of a witness matrix) that
-    achieves the value within the tolerance of the kind.
+    ``kind`` is ``exact_svd``, ``lanczos`` or ``shift_invert`` (from
+    :func:`op_norm`) or ``sampled_lower_bound``; ``iterations`` counts
+    the Lanczos products with ``A* A`` and, for ``shift_invert``, the
+    inverse-iteration solves after them.  A ``shift_invert`` estimate
+    went through factorizations of ``s I - A* A`` whose completion
+    proved ``|A|^2 < s``; ``value`` is still ``|A v|``, a lower bound,
+    and no upper bound is reported.  The certificate, when present, is
+    a unit :class:`BlockVector` (or a descriptor of a witness matrix)
+    that achieves the value within the tolerance of the kind.
     """
 
     value: float
@@ -123,28 +135,47 @@ def op_norm(a: BlockMatrix) -> NormEstimate:
     from a seed-0 start vector (kind ``lanczos``): banded and toeplitz
     matrices are driven by :func:`apply` on the matrix and its adjoint
     and never densified, dense ones by products with their flattening.
-    The value is ``|A v|`` for the unit certificate ``v``, at relative
-    tolerance ``POWER_TOLERANCE``.  If ``min(flat_size,
-    EXACT_SVD_LIMIT)`` Krylov steps do not converge, the exact path is
-    taken up to side ``8 * EXACT_SVD_LIMIT``.
+    The value is ``|A v|`` for the unit certificate ``v``, once the
+    residual ``|A* A v - theta v|`` is at most ``0.1 * POWER_TOLERANCE
+    * theta`` for ``theta = |A v|^2``.
+
+    Banded and toeplitz matrices get 32 Krylov steps.  If the rule has
+    not held by then, the top Ritz vector is finished by inverse
+    iteration on ``s I - A* A`` (kind ``shift_invert``), factored as a
+    block-tridiagonal Cholesky of the band of ``A* A``.  A factorization
+    that completes proves ``|A|^2 < s``, so the iteration converges to
+    the top singular vector; the value and certificate keep the same
+    meaning and rule.  Dense matrices get ``min(flat_size,
+    EXACT_SVD_LIMIT)`` steps, then the exact path up to side
+    ``8 * EXACT_SVD_LIMIT``.
 
     Raises
     ------
     NonConvergenceError
-        When Lanczos stalls on a larger matrix.
+        When Lanczos stalls on a larger dense matrix, when a banded or
+        toeplitz band is too wide to factor (a super-block side above
+        ``8 * EXACT_SVD_LIMIT``), or when the shift-and-invert finish
+        uses up its factorizations.
     """
     if a.flat_size <= EXACT_SVD_LIMIT:
         return _exact_estimate(a, a.flatten())
     if a.structure == DENSE:
         flat = a.flatten()
+        steps = min(a.flat_size, EXACT_SVD_LIMIT)
 
         def forward(x):
             return flat @ x
 
         def backward(y):
             return (y.conj() @ flat).conj()
+
+        def finish(_vector, _iterations):
+            if a.flat_size <= 8 * EXACT_SVD_LIMIT:
+                return _exact_estimate(a, flat)
+            raise NonConvergenceError(steps, "lanczos")
     else:
         a_star = adjoint(a)
+        steps = min(a.flat_size, _HANDOFF_STEPS)
 
         def forward(x):
             return apply(a, BlockVector.from_flat(x, a.dim)).flatten()
@@ -152,21 +183,20 @@ def op_norm(a: BlockMatrix) -> NormEstimate:
         def backward(y):
             return apply(a_star, BlockVector.from_flat(y, a.dim)).flatten()
 
-    steps = min(a.flat_size, EXACT_SVD_LIMIT)
-    try:
-        value, vector, iterations = _lanczos(forward, backward, a.flat_size, steps)
-    except NonConvergenceError:
-        if a.flat_size <= 8 * EXACT_SVD_LIMIT:
-            return _exact_estimate(a, a.flatten())
-        raise
-    certificate = BlockVector.from_flat(vector, a.dim)
+        def finish(vector, iterations):
+            return _shift_invert(a, forward, backward, vector, iterations)
+
+    vector, iterations, converged = _lanczos(forward, backward, a.flat_size, steps)
+    if not converged:
+        return finish(vector, iterations)
     return NormEstimate(
-        value=value, kind="lanczos", certificate=certificate, iterations=iterations,
+        value=float(np.linalg.norm(forward(vector))), kind="lanczos",
+        certificate=BlockVector.from_flat(vector, a.dim), iterations=iterations,
     )
 
 
-def _lanczos(forward, backward, n: int, steps: int) -> tuple[float, np.ndarray, int]:
-    """Top singular value of ``A`` by Lanczos on ``A* A``.
+def _lanczos(forward, backward, n: int, steps: int) -> tuple[np.ndarray, int, bool]:
+    """Top Ritz vector of ``A* A`` by Lanczos.
 
     ``forward`` and ``backward`` apply ``A`` and ``A*`` to flat vectors
     of length ``n``.  Every new Krylov vector is orthogonalized twice
@@ -176,12 +206,9 @@ def _lanczos(forward, backward, n: int, steps: int) -> tuple[float, np.ndarray, 
     ``|A* A v - theta v| = beta_k |e_k^T y|`` of the top Ritz pair,
     with power iteration's rule ``<= 0.1 * POWER_TOLERANCE * theta``,
     or on breakdown (``beta = 0``: the Krylov space is invariant).
-    Returns ``(|A v|, v, steps taken)`` for the unit Ritz vector ``v``.
-
-    Raises
-    ------
-    NonConvergenceError
-        When ``steps`` Krylov steps do not converge; carries ``steps``.
+    Returns ``(v, steps taken, whether the rule held)`` for the unit
+    top Ritz vector ``v``; after ``steps`` steps without convergence,
+    the last one.
     """
     rng = np.random.default_rng(0)
     q = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -204,18 +231,169 @@ def _lanczos(forward, backward, n: int, steps: int) -> tuple[float, np.ndarray, 
         beta = float(np.linalg.norm(w))
         # The Ritz pair costs O(k^3); past the first steps, testing every
         # eighth step keeps it from outgrowing the products with A* A.
-        if beta == 0.0 or k < 32 or k % 8 == 7 or k == steps - 1:
+        last = k == steps - 1
+        if beta == 0.0 or k < _HANDOFF_STEPS or k % 8 == 7 or last:
             ritz_values, ritz_vectors = np.linalg.eigh(
                 np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
             )
             theta, y = ritz_values[-1], ritz_vectors[:, -1]
-            if beta == 0.0 or beta * abs(y[-1]) <= residual_tol * theta:
-                v = y @ span
-                v /= np.linalg.norm(v)
-                return float(np.linalg.norm(forward(v))), v, k + 1
+            converged = beta == 0.0 or beta * abs(y[-1]) <= residual_tol * theta
+            if converged or last:
+                break
         betas.append(beta)
         q = w / beta
-    raise NonConvergenceError(steps, "lanczos")
+    v = y @ span
+    return v / np.linalg.norm(v), k + 1, converged
+
+
+def _shift_invert(a: BlockMatrix, forward, backward, v: np.ndarray,
+                  iterations: int) -> NormEstimate:
+    """Finish Lanczos on a banded or toeplitz matrix by inverse iteration.
+
+    Each round factors ``s I - A* A`` at ``s = theta + 2 r``, from
+    ``theta = |A v|^2`` and the residual ``r = |A* A v - theta v|``; a
+    factorization that fails proves nothing and is retried with four
+    times the increment, never above the Wiener bound squared, which
+    dominates ``|A|^2``.  A completed one proves ``|A|^2 < s``, so
+    solving with it pulls ``v`` toward the top singular vector; up to
+    ``_SOLVES_PER_FACTORIZATION`` solves follow, until ``r`` meets the
+    Lanczos rule.  ``iterations`` goes on counting the solves.
+
+    Raises
+    ------
+    NonConvergenceError
+        Before any allocation when a super-block side would exceed
+        ``8 * EXACT_SVD_LIMIT``, and after ``_FACTORIZATION_CAP``
+        factorizations.
+    """
+    lo, hi = a.band_bounds()
+    rows = min(max(2 * (hi - lo), 4), a.size)
+    if rows * a.dim > 8 * EXACT_SVD_LIMIT:
+        raise NonConvergenceError(
+            iterations, f"lanczos (band {lo}..{hi} too wide to shift and invert)"
+        )
+    diag, upper = _gram_superblocks(a, rows)
+    residual_tol = 0.1 * POWER_TOLERANCE
+    ceiling = np.inf  # |A|^2, bounded by the Wiener norm once a shift fails
+
+    def measure(v):
+        w = forward(v)
+        theta = float(np.real(np.vdot(w, w)))
+        return w, theta, float(np.linalg.norm(backward(w) - theta * v))
+
+    w, theta, residual = measure(v)
+    factorizations = 0
+    while residual > residual_tol * theta:
+        increment = 2 * residual
+        factors = None
+        while factors is None:
+            if factorizations == _FACTORIZATION_CAP:
+                raise NonConvergenceError(_FACTORIZATION_CAP, "shift-and-invert")
+            factorizations += 1
+            try:
+                factors = _block_cholesky(diag, upper, min(theta + increment, ceiling))
+            except np.linalg.LinAlgError:
+                if ceiling == np.inf:
+                    ceiling = wiener_norm(a) ** 2
+                increment *= 4
+        for _ in range(_SOLVES_PER_FACTORIZATION):
+            v = _block_solve(*factors, v)
+            v /= np.linalg.norm(v)
+            iterations += 1
+            w, theta, residual = measure(v)
+            if residual <= residual_tol * theta:
+                break
+    return NormEstimate(
+        value=float(np.linalg.norm(w)), kind="shift_invert",
+        certificate=BlockVector.from_flat(v, a.dim), iterations=iterations,
+    )
+
+
+def _gram_superblocks(a: BlockMatrix, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Band of ``A* A`` for a banded or toeplitz ``A``, in super-blocks.
+
+    With stored offsets in ``[lo, hi]``, ``A* A`` is block banded with
+    half-width ``b = min(hi - lo, N - 1)``.  Grouping ``rows >= b``
+    block rows into one super-block makes it block tridiagonal: returns
+    the Hermitian diagonal super-blocks ``D_j`` and the upper neighbours
+    ``E_j`` (coupling ``j`` to ``j + 1``), each ``rows * d`` square, with
+    the rows past N padded by zeros.  Block diagonal ``m`` of ``A* A`` is
+    ``sum_p S[p, i]* S[p + m, i + m]`` over the column-aligned stack
+    ``S[p, j] = a(j - lo - p, j)``: one einsum per ``m``, from the
+    stored runs alone.
+    """
+    lo, hi = a.band_bounds()
+    width, n, d = hi - lo, a.size, a.dim
+    count = -(-n // rows)
+    stack = np.zeros((width + 1, count * rows + width, d, d), dtype=complex)
+    for offset in a.diagonal_support():
+        stack[offset - lo, max(0, offset):n - max(0, -offset)] = a.diagonal_run(offset)
+    diag = np.zeros((count, rows, rows, d, d), dtype=complex)
+    upper = np.zeros_like(diag)
+    for m in range(min(width, n - 1) + 1):
+        gram = np.einsum(
+            "pkba,pkbc->kac",
+            stack[: width + 1 - m, : count * rows].conj(),
+            stack[m:, m : m + count * rows],
+        ).reshape(count, rows, d, d)
+        inner = np.arange(rows - m)
+        diag[:, inner, inner + m] = gram[:, : rows - m]
+        diag[:, inner + m, inner] = gram[:, : rows - m].conj().transpose(0, 1, 3, 2)
+        crossing = np.arange(rows - m, rows)
+        upper[:, crossing, crossing + m - rows] = gram[:, rows - m:]
+    side = rows * d
+    return (
+        diag.transpose(0, 1, 3, 2, 4).reshape(count, side, side),
+        upper[:-1].transpose(0, 1, 3, 2, 4).reshape(count - 1, side, side),
+    )
+
+
+def _block_cholesky(diag: np.ndarray, upper: np.ndarray,
+                    shift: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Block Cholesky ``L L*`` of ``shift I - A* A`` from its super-blocks.
+
+    The pivots are ``L_j L_j* = shift I - D_j - X_j-1* X_j-1`` with the
+    couplings ``X_j = L_j^-1 E_j``; the subdiagonal factor is ``-X_j*``.
+    Returns what :func:`_block_solve` needs: the inverses ``L_j^-1``,
+    the forward maps ``L_j+1^-1 X_j*`` and the backward maps
+    ``L_j^-* X_j``.  Raises ``np.linalg.LinAlgError`` when a pivot is
+    not positive definite; completing proves ``shift I - A* A``
+    positive definite up to Cholesky's backward error (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, ch. 10).
+    """
+    eye = shift * np.eye(diag.shape[1])
+    inverses = np.empty_like(diag)
+    couplings = np.empty_like(upper)
+    pivot = eye - diag[0]
+    for j, coupling in enumerate(upper):
+        inverses[j] = np.linalg.inv(np.linalg.cholesky(pivot))
+        couplings[j] = inverses[j] @ coupling
+        pivot = eye - diag[j + 1] - couplings[j].conj().T @ couplings[j]
+    inverses[-1] = np.linalg.inv(np.linalg.cholesky(pivot))
+    forward_maps = inverses[1:] @ couplings.conj().transpose(0, 2, 1)
+    backward_maps = inverses[:-1].conj().transpose(0, 2, 1) @ couplings
+    return inverses, forward_maps, backward_maps
+
+
+def _block_solve(inverses: np.ndarray, forward_maps: np.ndarray,
+                 backward_maps: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``L L* x = rhs`` with the factors of :func:`_block_cholesky`.
+
+    Forward, ``y_j+1 = L_j+1^-1 rhs_j+1 + L_j+1^-1 X_j* y_j``; backward,
+    ``x_j = L_j^-* y_j + L_j^-* X_j x_j+1``: one small matvec per step.
+    The rows past ``len(rhs)`` are the zero padding of the super-blocks.
+    """
+    count, side = inverses.shape[:2]
+    padded = np.zeros(count * side, dtype=complex)
+    padded[: len(rhs)] = rhs
+    y = (inverses @ padded.reshape(count, side, 1))[..., 0]
+    for j, step in enumerate(forward_maps):
+        y[j + 1] += step @ y[j]
+    # x_j = L_j^-* y_j = (y_j* L_j^-1)*, without conjugating the inverses
+    x = (y.conj()[:, None, :] @ inverses)[:, 0].conj()
+    for j in range(len(backward_maps) - 1, -1, -1):
+        x[j] += backward_maps[j] @ x[j + 1]
+    return x.reshape(-1)[: len(rhs)]
 
 
 def _exact_estimate(a: BlockMatrix, flat: np.ndarray) -> NormEstimate:

@@ -51,8 +51,14 @@ CSV_SIGNIFICANT_DIGITS = 12
 
 
 def dumps_canonical(payload) -> str:
-    """Deterministic JSON text: sorted keys, compact, newline-terminated."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    """Deterministic JSON text: sorted keys, compact, newline-terminated.
+
+    Payloads are trees, so the encoder skips its circular-reference
+    check; a cyclic input raises ``RecursionError``.
+    """
+    return json.dumps(
+        payload, sort_keys=True, separators=(",", ":"), check_circular=False
+    ) + "\n"
 
 
 def save_json(path, payload) -> None:
@@ -192,7 +198,7 @@ def matrix_to_payload(a: BlockMatrix) -> dict:
         payload["data"] = _pairs(a.blocks())
     elif a.structure == TOEPLITZ:
         payload["data"] = [
-            {"offset": l, "block": _pairs(a.diagonal_run(l)[0])}
+            {"offset": l, "block": _pairs(a.entry(max(0, -l), max(0, l)).matrix)}
             for l in a.diagonal_support()
         ]
     else:

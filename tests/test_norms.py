@@ -9,6 +9,7 @@ from opschur.errors import NonConvergenceError
 from opschur.kernels import ScalarSymbol, mask
 from opschur.matrices import (
     BlockMatrix,
+    adjoint,
     apply,
     random_dense,
     random_toeplitz,
@@ -113,7 +114,7 @@ class TestLanczos:
         singular = np.linalg.svd(flatten_reference(a.blocks()), compute_uv=False)
         assert 1e-4 < (singular[0] - singular[1]) / singular[0] < 1e-3
         estimate = op_norm(a)
-        assert estimate.kind == "lanczos"
+        assert estimate.kind == "shift_invert"
         assert abs(estimate.value - singular[0]) <= 1e-8 * singular[0]
 
     def test_breakdown_on_identity(self):
@@ -141,6 +142,118 @@ class TestLanczos:
         with pytest.raises(NonConvergenceError) as err:
             op_norm(a)
         assert err.value.iteration_cap == 4
+
+
+def _smooth_toeplitz(size):
+    # smooth symbol: past N ~ 500 plain Lanczos needed hundreds of steps
+    return random_toeplitz(size, 2, np.random.default_rng(1), range(-2, 3), decay=0.5)
+
+
+class TestShiftInvert:
+    def test_factorization_certifies_the_norm(self):
+        # the clustered toeplitz of test_clustered_top_pair; offsets -2..2
+        # give A* A half-width 4, so super-blocks of 8 block rows
+        rng = np.random.default_rng(13)
+        block = _unitary(rng, 2) @ np.diag([1.0, 0.7]) @ _unitary(rng, 2)
+        angle = float(rng.uniform(-np.pi, np.pi))
+        a = BlockMatrix.toeplitz(
+            {l: 0.3 ** abs(l) * np.exp(1j * l * angle) * block for l in range(-2, 3)},
+            260,
+        )
+        flat = flatten_reference(a.blocks())
+        sigma = np.linalg.svd(flat, compute_uv=False)[0]
+        diag, upper = norms._gram_superblocks(a, 8)
+        norms._block_cholesky(diag, upper, (sigma * (1 + 1e-8)) ** 2)
+        with pytest.raises(np.linalg.LinAlgError):
+            norms._block_cholesky(diag, upper, (sigma * (1 - 1e-8)) ** 2)
+        shift = (1.1 * sigma) ** 2
+        rhs = gaussian(np.random.default_rng(16), (flat.shape[0],))
+        x = norms._block_solve(*norms._block_cholesky(diag, upper, shift), rhs)
+        residual = shift * x - flat.conj().T @ (flat @ x) - rhs
+        assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(rhs)
+
+    def test_smooth_symbol_is_certified(self):
+        a = _smooth_toeplitz(500)
+        estimate = op_norm(a)
+        assert estimate.kind == "shift_invert"
+        assert estimate.iterations < 100
+        witnessed = apply(a, estimate.certificate).norm()
+        assert abs(witnessed - estimate.value) <= 1e-10 * estimate.value
+        # |A| <= value (1 + 1e-8) holds iff this matrix is positive definite
+        flat = a.flatten()
+        bound = (estimate.value * (1 + 1e-8)) ** 2
+        np.linalg.cholesky(bound * np.eye(len(flat)) - flat.conj().T @ flat)
+
+    def test_finish_never_densifies(self, monkeypatch):
+        a = _smooth_toeplitz(2**12)
+
+        def refuse(self):
+            raise AssertionError("structured matrix densified")
+
+        monkeypatch.setattr(BlockMatrix, "blocks", refuse)
+        monkeypatch.setattr(BlockMatrix, "flatten", refuse)
+        estimate = op_norm(a)
+        assert estimate.kind == "shift_invert"
+        witnessed = apply(a, estimate.certificate).norm()
+        assert abs(witnessed - estimate.value) <= 1e-10 * estimate.value
+        assert estimate.value <= wiener_norm(a)
+
+    def test_failed_factorization_retries_a_larger_shift(self, monkeypatch):
+        # a random start lies far below the top: the first shift fails
+        a = _smooth_toeplitz(150)
+        factor = norms._block_cholesky
+        failures = []
+
+        def watched(diag, upper, shift):
+            try:
+                return factor(diag, upper, shift)
+            except np.linalg.LinAlgError:
+                failures.append(shift)
+                raise
+
+        monkeypatch.setattr(norms, "_block_cholesky", watched)
+        start = gaussian(np.random.default_rng(5), (a.flat_size,))
+        start /= np.linalg.norm(start)
+        a_star = adjoint(a)
+
+        def forward(x):
+            return apply(a, BlockVector.from_flat(x, 2)).flatten()
+
+        def backward(y):
+            return apply(a_star, BlockVector.from_flat(y, 2)).flatten()
+
+        estimate = norms._shift_invert(a, forward, backward, start, 0)
+        assert failures
+        oracle = spectral_norm(a.flatten())
+        assert abs(estimate.value - oracle) <= 1e-8 * oracle
+        # a cap that the failed shifts use up ends the finish
+        cap = len(failures)
+        monkeypatch.setattr(norms, "_FACTORIZATION_CAP", cap)
+        with pytest.raises(NonConvergenceError) as err:
+            norms._shift_invert(a, forward, backward, start, 0)
+        assert err.value.iteration_cap == cap
+
+    def test_band_wider_than_the_matrix(self):
+        # offsets -299..199 on N = 300: A* A is full, one super-block
+        a = random_toeplitz(
+            300, 2, np.random.default_rng(1), range(-299, 200), decay=0.99
+        )
+        estimate = op_norm(a)
+        assert estimate.kind == "shift_invert"
+        oracle = spectral_norm(a.flatten())
+        assert abs(estimate.value - oracle) <= 1e-8 * oracle
+
+    def test_band_too_wide_raises_before_allocating(self, monkeypatch):
+        monkeypatch.setattr(norms, "EXACT_SVD_LIMIT", 4)
+
+        def refuse(*args):
+            raise AssertionError("super-blocks allocated")
+
+        monkeypatch.setattr(norms, "_gram_superblocks", refuse)
+        # offsets -10..10: super-blocks of 40 block rows, side 80 > 8 * 4
+        a = random_toeplitz(200, 2, np.random.default_rng(1), range(-10, 11), decay=0.7)
+        with pytest.raises(NonConvergenceError):
+            op_norm(a)
 
 
 class TestPowerIteration:

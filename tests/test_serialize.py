@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from opschur import cli
 from opschur.analysis import smoothing_profile
 from opschur.errors import SerializationError
 from opschur.kernels import ScalarSymbol, fejer_family
@@ -441,6 +442,19 @@ class TestConvert:
         assert out.structure == "dense"
         assert allclose(out, a, tol=0)
         assert load_json(dst)["structure"] == "dense"
+
+    def test_huge_toeplitz(self, tmp_path):
+        # no array can hold N = 10**400 blocks: the writer reads the stored ones
+        payload = _toeplitz_payload()
+        payload["N"] = 10**400
+        text = dumps_canonical(payload)
+        back = matrix_from_payload(json.loads(text))
+        assert dumps_canonical(matrix_to_payload(back)) == text
+        src = tmp_path / "a.json"
+        dst = tmp_path / "b.json"
+        src.write_text(text)
+        assert cli.main(["convert", str(src), str(dst)]) == 0
+        assert dst.read_text() == text
 
     def test_invalid_json_rejected(self, tmp_path):
         src = tmp_path / "bad.json"
