@@ -50,9 +50,12 @@ POWER_ITERATION_CAP = 10**4
 # toeplitz matrices get no more before the shift-and-invert finish.  Three
 # solves per factorization and super-blocks of 2b block rows (at least 4,
 # for narrow bands) measured fastest on smooth-symbol toeplitz matrices.
+# The finish holds about _FINISH_ARRAYS arrays of super-blocks at once: the
+# band of A* A, its upper neighbours and the Cholesky factors.
 _HANDOFF_STEPS = 32
 _SOLVES_PER_FACTORIZATION = 3
 _FACTORIZATION_CAP = 32
+_FINISH_ARRAYS = 6
 
 SUP_REFINEMENT_TOLERANCE = 1e-6
 SUP_GRID_CAP = 2**16
@@ -139,43 +142,37 @@ def op_norm(a: BlockMatrix) -> NormEstimate:
     residual ``|A* A v - theta v|`` is at most ``0.1 * POWER_TOLERANCE
     * theta`` for ``theta = |A v|^2``.
 
-    Banded and toeplitz matrices get 32 Krylov steps.  If the rule has
-    not held by then, the top Ritz vector is finished by inverse
+    A banded or toeplitz matrix whose band is narrow enough to factor
+    (see :func:`_superblock_rows`) gets 32 Krylov steps.  If the rule
+    has not held by then, the top Ritz vector is finished by inverse
     iteration on ``s I - A* A`` (kind ``shift_invert``), factored as a
     block-tridiagonal Cholesky of the band of ``A* A``.  A factorization
     that completes proves ``|A|^2 < s``, so the iteration converges to
     the top singular vector; the value and certificate keep the same
-    meaning and rule.  Dense matrices get ``min(flat_size,
-    EXACT_SVD_LIMIT)`` steps, then the exact path up to side
-    ``8 * EXACT_SVD_LIMIT``.
+    meaning and rule.  Dense matrices and wider bands get
+    ``min(flat_size, EXACT_SVD_LIMIT)`` steps.  Whatever does not
+    converge takes the exact path up to side ``8 * EXACT_SVD_LIMIT``.
 
     Raises
     ------
     NonConvergenceError
-        When Lanczos stalls on a larger dense matrix, when a banded or
-        toeplitz band is too wide to factor (a super-block side above
-        ``8 * EXACT_SVD_LIMIT``), or when the shift-and-invert finish
-        uses up its factorizations.
+        When neither Lanczos nor the shift-and-invert finish converges
+        on a matrix of side above ``8 * EXACT_SVD_LIMIT``.
     """
     if a.flat_size <= EXACT_SVD_LIMIT:
         return _exact_estimate(a, a.flatten())
+    steps = min(a.flat_size, EXACT_SVD_LIMIT)
+    rows = None
     if a.structure == DENSE:
         flat = a.flatten()
-        steps = min(a.flat_size, EXACT_SVD_LIMIT)
 
         def forward(x):
             return flat @ x
 
         def backward(y):
             return (y.conj() @ flat).conj()
-
-        def finish(_vector, _iterations):
-            if a.flat_size <= 8 * EXACT_SVD_LIMIT:
-                return _exact_estimate(a, flat)
-            raise NonConvergenceError(steps, "lanczos")
     else:
         a_star = adjoint(a)
-        steps = min(a.flat_size, _HANDOFF_STEPS)
 
         def forward(x):
             return apply(a, BlockVector.from_flat(x, a.dim)).flatten()
@@ -183,16 +180,25 @@ def op_norm(a: BlockMatrix) -> NormEstimate:
         def backward(y):
             return apply(a_star, BlockVector.from_flat(y, a.dim)).flatten()
 
-        def finish(vector, iterations):
-            return _shift_invert(a, forward, backward, vector, iterations)
+        rows = _superblock_rows(a)
+        if rows is not None:
+            steps = _HANDOFF_STEPS
 
     vector, iterations, converged = _lanczos(forward, backward, a.flat_size, steps)
-    if not converged:
-        return finish(vector, iterations)
-    return NormEstimate(
-        value=float(np.linalg.norm(forward(vector))), kind="lanczos",
-        certificate=BlockVector.from_flat(vector, a.dim), iterations=iterations,
-    )
+    if converged:
+        return NormEstimate(
+            value=float(np.linalg.norm(forward(vector))), kind="lanczos",
+            certificate=BlockVector.from_flat(vector, a.dim), iterations=iterations,
+        )
+    if rows is not None:
+        try:
+            return _shift_invert(a, rows, forward, backward, vector, iterations)
+        except NonConvergenceError:
+            if a.flat_size > 8 * EXACT_SVD_LIMIT:
+                raise
+    elif a.flat_size > 8 * EXACT_SVD_LIMIT:
+        raise NonConvergenceError(steps, "lanczos")
+    return _exact_estimate(a, a.flatten())
 
 
 def _lanczos(forward, backward, n: int, steps: int) -> tuple[np.ndarray, int, bool]:
@@ -246,15 +252,35 @@ def _lanczos(forward, backward, n: int, steps: int) -> tuple[np.ndarray, int, bo
     return v / np.linalg.norm(v), k + 1, converged
 
 
-def _shift_invert(a: BlockMatrix, forward, backward, v: np.ndarray,
+def _superblock_rows(a: BlockMatrix) -> int | None:
+    """Block rows per super-block of the shift-and-invert finish.
+
+    ``2b`` for the half-width ``b = hi - lo`` of ``A* A``, at least 4
+    and at most N.  None when the finish's ``_FINISH_ARRAYS`` arrays of
+    super-blocks would hold more numbers than the ``min(flat_size,
+    EXACT_SVD_LIMIT)`` Lanczos vectors it stands in for: such a band is
+    left to Lanczos.  Each array holds at least ``N * rows * d^2``
+    numbers, so an admitted super-block side ``rows * d`` stays below
+    ``EXACT_SVD_LIMIT / _FINISH_ARRAYS``.
+    """
+    lo, hi = a.band_bounds()
+    rows = min(max(2 * (hi - lo), 4), a.size)
+    count = -(-a.size // rows)
+    held = _FINISH_ARRAYS * count * (rows * a.dim) ** 2
+    if held > min(a.flat_size, EXACT_SVD_LIMIT) * a.flat_size:
+        return None
+    return rows
+
+
+def _shift_invert(a: BlockMatrix, rows: int, forward, backward, v: np.ndarray,
                   iterations: int) -> NormEstimate:
     """Finish Lanczos on a banded or toeplitz matrix by inverse iteration.
 
+    ``rows`` block rows make one super-block of the band of ``A* A``.
     Each round factors ``s I - A* A`` at ``s = theta + 2 r``, from
     ``theta = |A v|^2`` and the residual ``r = |A* A v - theta v|``; a
     factorization that fails proves nothing and is retried with four
-    times the increment, never above the Wiener bound squared, which
-    dominates ``|A|^2``.  A completed one proves ``|A|^2 < s``, so
+    times the increment.  A completed one proves ``|A|^2 < s``, so
     solving with it pulls ``v`` toward the top singular vector; up to
     ``_SOLVES_PER_FACTORIZATION`` solves follow, until ``r`` meets the
     Lanczos rule.  ``iterations`` goes on counting the solves.
@@ -262,19 +288,10 @@ def _shift_invert(a: BlockMatrix, forward, backward, v: np.ndarray,
     Raises
     ------
     NonConvergenceError
-        Before any allocation when a super-block side would exceed
-        ``8 * EXACT_SVD_LIMIT``, and after ``_FACTORIZATION_CAP``
-        factorizations.
+        After ``_FACTORIZATION_CAP`` factorizations.
     """
-    lo, hi = a.band_bounds()
-    rows = min(max(2 * (hi - lo), 4), a.size)
-    if rows * a.dim > 8 * EXACT_SVD_LIMIT:
-        raise NonConvergenceError(
-            iterations, f"lanczos (band {lo}..{hi} too wide to shift and invert)"
-        )
     diag, upper = _gram_superblocks(a, rows)
     residual_tol = 0.1 * POWER_TOLERANCE
-    ceiling = np.inf  # |A|^2, bounded by the Wiener norm once a shift fails
 
     def measure(v):
         w = forward(v)
@@ -291,10 +308,8 @@ def _shift_invert(a: BlockMatrix, forward, backward, v: np.ndarray,
                 raise NonConvergenceError(_FACTORIZATION_CAP, "shift-and-invert")
             factorizations += 1
             try:
-                factors = _block_cholesky(diag, upper, min(theta + increment, ceiling))
+                factors = _block_cholesky(diag, upper, theta + increment)
             except np.linalg.LinAlgError:
-                if ceiling == np.inf:
-                    ceiling = wiener_norm(a) ** 2
                 increment *= 4
         for _ in range(_SOLVES_PER_FACTORIZATION):
             v = _block_solve(*factors, v)

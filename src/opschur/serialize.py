@@ -51,14 +51,8 @@ CSV_SIGNIFICANT_DIGITS = 12
 
 
 def dumps_canonical(payload) -> str:
-    """Deterministic JSON text: sorted keys, compact, newline-terminated.
-
-    Payloads are trees, so the encoder skips its circular-reference
-    check; a cyclic input raises ``RecursionError``.
-    """
-    return json.dumps(
-        payload, sort_keys=True, separators=(",", ":"), check_circular=False
-    ) + "\n"
+    """Deterministic JSON text: sorted keys, compact, newline-terminated."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def save_json(path, payload) -> None:

@@ -222,7 +222,8 @@ class TestShiftInvert:
         def backward(y):
             return apply(a_star, BlockVector.from_flat(y, 2)).flatten()
 
-        estimate = norms._shift_invert(a, forward, backward, start, 0)
+        rows = norms._superblock_rows(a)
+        estimate = norms._shift_invert(a, rows, forward, backward, start, 0)
         assert failures
         oracle = spectral_norm(a.flatten())
         assert abs(estimate.value - oracle) <= 1e-8 * oracle
@@ -230,7 +231,7 @@ class TestShiftInvert:
         cap = len(failures)
         monkeypatch.setattr(norms, "_FACTORIZATION_CAP", cap)
         with pytest.raises(NonConvergenceError) as err:
-            norms._shift_invert(a, forward, backward, start, 0)
+            norms._shift_invert(a, rows, forward, backward, start, 0)
         assert err.value.iteration_cap == cap
 
     def test_band_wider_than_the_matrix(self):
@@ -238,8 +239,24 @@ class TestShiftInvert:
         a = random_toeplitz(
             300, 2, np.random.default_rng(1), range(-299, 200), decay=0.99
         )
+        flat = a.flatten()
+        gram = flat.conj().T @ flat
+        diag, upper = norms._gram_superblocks(a, 300)
+        assert upper.shape == (0, 600, 600)
+        assert np.linalg.norm(diag[0] - gram) <= 1e-12 * np.linalg.norm(gram)
+
+    def test_wide_band_is_left_to_lanczos(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("super-blocks allocated")
+
+        monkeypatch.setattr(norms, "_gram_superblocks", refuse)
+        # offsets -60..60: super-blocks of 240 block rows would hold more
+        # than the Lanczos basis; Lanczos needs more than the 32 handoff steps
+        a = random_toeplitz(300, 2, np.random.default_rng(1), range(-60, 61), decay=0.9)
+        assert norms._superblock_rows(a) is None
         estimate = op_norm(a)
-        assert estimate.kind == "shift_invert"
+        assert estimate.kind == "lanczos"
+        assert estimate.iterations > norms._HANDOFF_STEPS
         oracle = spectral_norm(a.flatten())
         assert abs(estimate.value - oracle) <= 1e-8 * oracle
 
@@ -250,10 +267,21 @@ class TestShiftInvert:
             raise AssertionError("super-blocks allocated")
 
         monkeypatch.setattr(norms, "_gram_superblocks", refuse)
-        # offsets -10..10: super-blocks of 40 block rows, side 80 > 8 * 4
+        # offsets -10..10: super-blocks of 40 block rows outweigh 4 Lanczos vectors
         a = random_toeplitz(200, 2, np.random.default_rng(1), range(-10, 11), decay=0.7)
         with pytest.raises(NonConvergenceError):
             op_norm(a)
+
+    def test_failed_finish_falls_back_to_exact(self, monkeypatch):
+        monkeypatch.setattr(norms, "_FACTORIZATION_CAP", 0)
+        a = _smooth_toeplitz(300)
+        estimate = op_norm(a)
+        assert estimate.kind == "exact_svd"
+        oracle = spectral_norm(a.flatten())
+        assert abs(estimate.value - oracle) <= 1e-12 * oracle
+        # above side 8 * EXACT_SVD_LIMIT nothing is left to fall back on
+        with pytest.raises(NonConvergenceError):
+            op_norm(_smooth_toeplitz(2100))
 
 
 class TestPowerIteration:
