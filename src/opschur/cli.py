@@ -166,6 +166,10 @@ def _run_command(args, parser: _Parser) -> int:
               f"({len(result.assertions) - failed}/{len(result.assertions)}"
               " assertions)")
         all_passed = all_passed and result.passed
+        if args.check:
+            for a in result.assertions:
+                if not a.passed:
+                    print(f"{a.name}: {a.detail}", file=sys.stderr)
     if args.check and not all_passed:
         return EXIT_CHECK_FAILED
     return EXIT_OK

@@ -92,14 +92,6 @@ class ScalarSymbol:
         return cls("poisson", param=r)
 
     @property
-    def kind(self) -> str:
-        return self._kind
-
-    @property
-    def param(self):
-        return self._param
-
-    @property
     def degree(self) -> int | None:
         """Largest |offset| with a nonzero coefficient, None if unbounded."""
         if self._kind == "trigpoly":

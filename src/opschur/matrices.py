@@ -269,10 +269,17 @@ class BlockMatrix:
         n, d = self._size, self._dim
         return self.blocks().transpose(0, 2, 1, 3).reshape(n * d, n * d)
 
+    def diagonal_norms(self) -> list[float]:
+        """Largest block operator norm on each diagonal of the support, in
+        support order; a toeplitz diagonal costs one block norm."""
+        return [
+            float(np.max(np.linalg.norm(self._run(offset), ord=2, axis=(1, 2))))
+            for offset in self.diagonal_support()
+        ]
+
     def max_block_norm(self) -> float:
         """Largest operator norm over all entries."""
-        flat = self.blocks().reshape(-1, self._dim, self._dim)
-        return float(np.max(np.linalg.norm(flat, ord=2, axis=(1, 2))))
+        return max(self.diagonal_norms())
 
     # -- arithmetic sugar --------------------------------------------
 

@@ -5,7 +5,7 @@ Interchange payloads are plain JSON with complex numbers as
 compact separators, and floats go through their shortest round-trip
 representation, so load followed by dump reproduces the original bytes
 exactly.  Values must be finite: ``NaN`` and ``Infinity`` are not JSON.
-Matrix and symbol entries are written and read as whole numpy arrays: the
+Matrix entries are written and read as whole numpy arrays: the
 writer's bytes match a cell-by-cell ``[z.real, z.imag]`` dump exactly,
 signed zeros included; the reader checks a whole array at once, walking it
 again only when it fails, to name the first bad cell in row-major order.
@@ -22,12 +22,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .analysis import ConvergenceProfile
-from .blocks import BlockVector
 from .errors import SerializationError
-from .kernels import ScalarSymbol
 from .matrices import BANDED, DENSE, TOEPLITZ, BlockMatrix
-from .norms import NormEstimate
 
 __all__ = [
     "dumps_canonical",
@@ -35,12 +31,6 @@ __all__ = [
     "load_json",
     "matrix_to_payload",
     "matrix_from_payload",
-    "symbol_to_payload",
-    "symbol_from_payload",
-    "estimate_to_payload",
-    "profile_to_payload",
-    "profile_from_payload",
-    "profile_csv_rows",
     "format_cell",
     "json_cell",
     "write_csv",
@@ -48,6 +38,11 @@ __all__ = [
 ]
 
 CSV_SIGNIFICANT_DIGITS = 12
+
+# Largest dense array, ``(N d)^2`` complex numbers of 16 bytes, that
+# ``convert(..., densify=True)`` builds; writing its payload peaks at about
+# 16 times that (nested float lists, then the JSON text).
+DENSE_BYTES_LIMIT = 2**26
 
 
 def dumps_canonical(payload) -> str:
@@ -72,8 +67,8 @@ def _pairs(arr) -> list:
     return arr.view(float).reshape(*arr.shape, 2).tolist()
 
 
-def _require(payload: dict, field: str, kind=None):
-    """``payload[field]``, checked against ``kind`` (a type or a tuple).
+def _require(payload: dict, field: str, kind: type | None = None):
+    """``payload[field]``, checked to be a ``kind``.
 
     JSON ``true``/``false`` load as ``bool``, a subclass of ``int``; they
     pass only where ``bool`` itself is asked for.
@@ -81,12 +76,10 @@ def _require(payload: dict, field: str, kind=None):
     if field not in payload:
         raise SerializationError(field, "missing")
     value = payload[field]
-    if kind is not None:
-        kinds = kind if isinstance(kind, tuple) else (kind,)
-        boolean = isinstance(value, bool) and bool not in kinds
-        if boolean or not isinstance(value, kinds):
-            names = " or ".join(k.__name__ for k in kinds)
-            raise SerializationError(field, f"expected {names}")
+    if kind is not None and (
+        not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool)
+    ):
+        raise SerializationError(field, f"expected {kind.__name__}")
     return value
 
 
@@ -106,24 +99,23 @@ def _positive(payload: dict, field: str) -> int:
     return value
 
 
-def _offset_items(items: list, field: str, size: int | None = None):
+def _offset_items(items: list, field: str, size: int):
     """``(offset, item)`` for each entry of an offset-keyed list ``field``.
 
-    ``items`` must be a non-empty list of objects with distinct offsets,
-    inside ``[-(N-1), N-1]`` for a size ``N``, else in the int64 range;
-    the checks cost one pass over the items.
+    ``items`` must be a non-empty list of objects with distinct offsets
+    inside ``[-(N-1), N-1]`` for the size ``N``; the checks cost one pass
+    over the items.
     """
     if not items:
         raise SerializationError(field, "needs at least one stored offset")
-    bound = int(np.iinfo(np.int64).max) if size is None else size - 1
     seen = set()
     for index, item in enumerate(items):
         if not isinstance(item, dict):
             raise SerializationError(f"{field}[{index}]", "expected an object")
         offset = _require(item, "offset", int)
-        if abs(offset) > bound:
+        if abs(offset) >= size:
             raise SerializationError(
-                "offset", f"offset {offset} outside [{-bound}, {bound}]"
+                "offset", f"offset {offset} outside [{1 - size}, {size - 1}]"
             )
         if offset in seen:
             raise SerializationError("offset", f"duplicate offset {offset}")
@@ -244,136 +236,6 @@ def matrix_from_payload(payload: dict) -> BlockMatrix:
     return matrix
 
 
-def symbol_to_payload(symbol: ScalarSymbol) -> dict:
-    payload = {"type": "scalar_symbol", "kind": symbol.kind}
-    if symbol.kind == "trigpoly":
-        support = symbol.support()
-        values = _pairs(symbol.coeff_array(np.array(support)))
-        payload["coeffs"] = [
-            {"offset": int(l), "value": value} for l, value in zip(support, values)
-        ]
-    elif symbol.kind in ("fejer", "dirichlet"):
-        payload["n"] = int(symbol.param)
-    else:
-        payload["r"] = float(symbol.param)
-    return payload
-
-
-# Closed-form symbol kinds: the payload field holding the parameter, its
-# JSON type, and the constructor that validates its range.
-_SYMBOL_PARAMETERS = {
-    "fejer": ("n", int, ScalarSymbol.fejer),
-    "dirichlet": ("n", int, ScalarSymbol.dirichlet),
-    "poisson": ("r", (int, float), ScalarSymbol.poisson),
-}
-
-
-def symbol_from_payload(payload: dict) -> ScalarSymbol:
-    """Symbol of an interchange payload.
-
-    Raises
-    ------
-    SerializationError
-        For any malformed payload, naming the offending field.
-    """
-    kind = _require(_typed(payload, "scalar_symbol"), "kind", str)
-    if kind == "trigpoly":
-        coeffs = {
-            offset: complex(_parse_pairs(_require(item, "value"), (), f"offset {offset}"))
-            for offset, item in _offset_items(_require(payload, "coeffs", list), "coeffs")
-        }
-        _finite(np.array(list(coeffs.values())), "coeffs")
-        return ScalarSymbol.trig_polynomial(coeffs)
-    if kind not in _SYMBOL_PARAMETERS:
-        raise SerializationError("kind", f"unknown symbol kind {kind!r}")
-    field, field_kind, make = _SYMBOL_PARAMETERS[kind]
-    try:
-        return make(_require(payload, field, field_kind))
-    except (ValueError, OverflowError) as exc:
-        raise SerializationError(field, str(exc)) from exc
-
-
-def _witness_reference(certificate) -> dict | None:
-    if certificate is None:
-        return None
-    if isinstance(certificate, BlockVector):
-        return {
-            "kind": "block_vector",
-            "size": certificate.size,
-            "dim": certificate.dim,
-            "norm": float(certificate.norm()),
-        }
-    if isinstance(certificate, dict):
-        return certificate
-    return {"kind": type(certificate).__name__}
-
-
-def estimate_to_payload(estimate: NormEstimate) -> dict:
-    """Norm estimate with a witness reference, not the full witness."""
-    return {
-        "type": "norm_estimate",
-        "kind": estimate.kind,
-        "value": float(estimate.value),
-        "iterations": int(estimate.iterations),
-        "samples": int(estimate.samples),
-        "witness": _witness_reference(estimate.certificate),
-    }
-
-
-def profile_to_payload(profile: ConvergenceProfile) -> dict:
-    return {
-        "type": "convergence_profile",
-        "indices": list(profile.indices),
-        "distances": list(profile.distances),
-        "tolerance": profile.tolerance,
-        "reference_norm": profile.reference_norm,
-        "converged": profile.converged,
-        "threshold_index": profile.threshold_index,
-        "floor": profile.floor,
-    }
-
-
-def _numbers(values: list, field: str) -> list:
-    """``values`` unchanged if all are finite JSON numbers, not booleans."""
-    if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
-        raise SerializationError(field, "expected numbers")
-    try:
-        _finite(np.array(values, dtype=float), field)
-    except OverflowError:
-        raise SerializationError(field, "values must be finite") from None
-    return values
-
-
-def profile_from_payload(payload: dict) -> ConvergenceProfile:
-    """Profile of a payload; SerializationError names any malformed field."""
-    _typed(payload, "convergence_profile")
-    indices = _numbers(_require(payload, "indices", list), "indices")
-    distances = _numbers(_require(payload, "distances", list), "distances")
-    if not indices:
-        raise SerializationError("indices", "needs at least one index")
-    if len(distances) != len(indices):
-        raise SerializationError("distances", f"expected {len(indices)}, one per index")
-    threshold = _require(payload, "threshold_index")
-    _numbers([] if threshold is None else [threshold], "threshold_index")
-    scalars = {
-        field: _numbers([_require(payload, field, (int, float))], field)[0]
-        for field in ("tolerance", "reference_norm", "floor")
-    }
-    return ConvergenceProfile(
-        indices=tuple(indices),
-        distances=tuple(distances),
-        converged=_require(payload, "converged", bool),
-        threshold_index=threshold,
-        **scalars,
-    )
-
-
-def profile_csv_rows(profile: ConvergenceProfile) -> tuple[list[str], list[list]]:
-    header = ["index", "distance"]
-    rows = [[i, d] for i, d in zip(profile.indices, profile.distances)]
-    return header, rows
-
-
 def format_cell(value) -> str:
     """CSV cell formatting: 12 significant digits for floats."""
     if isinstance(value, bool):
@@ -411,10 +273,15 @@ def convert(in_path, out_path, densify: bool = False) -> BlockMatrix:
 
     Without ``densify`` the canonical output bytes reproduce the input
     exactly (for canonical input), since structure tags and stored
-    supports are preserved.
+    supports are preserved.  With ``densify``, a size whose dense array
+    would exceed ``DENSE_BYTES_LIMIT`` raises SerializationError for ``N``.
     """
     matrix = matrix_from_payload(load_json(in_path))
     if densify:
+        needed = 16 * (matrix.size * matrix.dim) ** 2
+        if needed > DENSE_BYTES_LIMIT:
+            raise SerializationError("N", f"a dense copy needs {needed} bytes, "
+                                          f"over the limit of {DENSE_BYTES_LIMIT}")
         matrix = BlockMatrix.dense(matrix.blocks())
     save_json(out_path, matrix_to_payload(matrix))
     return matrix

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -7,8 +8,8 @@ import pytest
 
 from opschur.matrices import random_toeplitz
 
-from test_serialize import MALFORMED
-from opschur.serialize import matrix_to_payload, save_json
+from test_serialize import MALFORMED, _toeplitz_payload
+from opschur.serialize import DENSE_BYTES_LIMIT, matrix_to_payload, save_json
 
 
 def run_cli(*args, env=None):
@@ -60,6 +61,18 @@ class TestRun:
                          "--out", str(tmp_path / "out"))
         assert result.returncode == 3
         assert "FAILED" in result.stdout
+
+    def test_check_mode_names_failed_assertions(self, tmp_path):
+        # stderr names each failed assertion; stdout and the files are unchanged
+        args = ("run", "--experiment", "sigma-profiles", "--tolerance", "profile=1e-12")
+        plain = run_cli(*args, "--out", str(tmp_path / "plain"))
+        check = run_cli(*args, "--check", "--out", str(tmp_path / "check"))
+        assert check.returncode == 3
+        assert check.stderr == "banded_converges: threshold None\n"
+        assert plain.stderr == ""
+        assert check.stdout == plain.stdout
+        for path in sorted((tmp_path / "plain").iterdir()):
+            assert path.read_bytes() == (tmp_path / "check" / path.name).read_bytes()
 
     def test_env_var_output_directory(self, tmp_path, monkeypatch):
         import os
@@ -128,6 +141,17 @@ class TestConvert:
         result = run_cli("convert", str(src), str(dst), "--densify")
         assert result.returncode == 0
         assert json.loads(dst.read_text())["structure"] == "dense"
+
+    def test_densify_past_the_limit_exits_one(self, tmp_path):
+        payload = _toeplitz_payload()
+        payload["N"] = math.isqrt(DENSE_BYTES_LIMIT // 16) // payload["d"] + 1
+        src, dst = tmp_path / "a.json", tmp_path / "b.json"
+        save_json(src, payload)
+        result = run_cli("convert", str(src), str(dst), "--densify")
+        assert result.returncode == 1
+        assert result.stderr.startswith("opschur: field 'N': a dense copy needs")
+        assert "Traceback" not in result.stderr
+        assert not dst.exists()
 
     def test_missing_input(self, tmp_path):
         result = run_cli("convert", str(tmp_path / "none.json"),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from opschur.matrices import (
     random_dense,
     random_toeplitz,
     schur_product,
+    truncate,
 )
 from opschur.norms import (
     EXACT_SVD_LIMIT,
@@ -334,6 +337,18 @@ class TestWienerNorm:
         rng = np.random.default_rng(seed)
         a = random_toeplitz(8, 2, rng, range(-2, 3), decay=0.7)
         assert wiener_norm(a) >= float(op_norm(a)) - 1e-9
+
+    def test_toeplitz_norms_one_block_per_diagonal(self):
+        # the stored block, not its N - |l| broadcast copies
+        a = random_toeplitz(2**20, 2, np.random.default_rng(3), range(-2, 3))
+        tracemalloc.start()
+        try:
+            value = wiener_norm(a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert value == wiener_norm(truncate(a, 3))
 
 
 class TestSymbolSupNorm:

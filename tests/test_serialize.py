@@ -1,12 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from opschur import cli
-from opschur.analysis import smoothing_profile
 from opschur.errors import SerializationError
-from opschur.kernels import ScalarSymbol, fejer_family
 from opschur.matrices import (
     BlockMatrix,
     allclose,
@@ -14,21 +13,15 @@ from opschur.matrices import (
     random_dense,
     random_toeplitz,
 )
-from opschur.norms import multiplier_lower_bound, op_norm
 from opschur.serialize import (
+    DENSE_BYTES_LIMIT,
     convert,
     dumps_canonical,
-    estimate_to_payload,
     format_cell,
     load_json,
     matrix_from_payload,
     matrix_to_payload,
-    profile_csv_rows,
-    profile_from_payload,
-    profile_to_payload,
     save_json,
-    symbol_from_payload,
-    symbol_to_payload,
     write_csv,
 )
 
@@ -266,145 +259,6 @@ class TestMalformedPayload:
         with pytest.raises(SerializationError):
             matrix_from_payload(3)
 
-    def test_tuple_kind_is_named(self):
-        with pytest.raises(SerializationError) as err:
-            symbol_from_payload({"type": "scalar_symbol", "kind": "poisson", "r": "x"})
-        assert err.value.field == "r"
-        assert "int or float" in str(err.value)
-
-    def test_boolean_accepted_where_asked_for(self):
-        rng = np.random.default_rng(9)
-        profile = smoothing_profile(random_banded(8, 2, rng, (0, 1)), fejer_family(), (1, 4))
-        payload = profile_to_payload(profile)
-        assert profile_from_payload(payload).converged is payload["converged"]
-        payload["floor"] = True
-        with pytest.raises(SerializationError) as err:
-            profile_from_payload(payload)
-        assert err.value.field == "floor"
-
-
-class TestSymbolPayload:
-    @pytest.mark.parametrize(
-        "symbol",
-        [
-            ScalarSymbol.fejer(4),
-            ScalarSymbol.dirichlet(3),
-            ScalarSymbol.poisson(0.75),
-            ScalarSymbol.trig_polynomial({-1: 2.0j, 0: 1.0, 4: -0.25}),
-        ],
-        ids=["fejer", "dirichlet", "poisson", "trigpoly"],
-    )
-    def test_round_trip(self, symbol):
-        back = symbol_from_payload(symbol_to_payload(symbol))
-        assert back.kind == symbol.kind
-        for l in (-4, -1, 0, 1, 4):
-            assert back.coeff(l) == pytest.approx(symbol.coeff(l))
-
-    @pytest.mark.parametrize(
-        "payload, field",
-        [
-            (5, "<document>"),
-            ({"type": "scalar_symbol", "kind": "trigpoly", "coeffs": []}, "coeffs"),
-            ({"type": "scalar_symbol", "kind": "trigpoly",
-              "coeffs": [{"offset": 0, "value": [1.0, 0.0]}, 7]}, "coeffs[1]"),
-            ({"type": "scalar_symbol", "kind": "trigpoly",
-              "coeffs": [{"offset": 1, "value": [1.0, 0.0]},
-                         {"offset": 1, "value": [2.0, 0.0]}]}, "offset"),
-            ({"type": "scalar_symbol", "kind": "trigpoly",
-              "coeffs": [{"offset": 0, "value": [float("nan"), 0.0]}]}, "coeffs"),
-            ({"type": "scalar_symbol", "kind": "fejer", "n": -1}, "n"),
-            ({"type": "scalar_symbol", "kind": "poisson", "r": 1.5}, "r"),
-            ({"type": "scalar_symbol", "kind": "poisson", "r": float("nan")}, "r"),
-            ({"type": "scalar_symbol", "kind": "poisson", "r": 10**400}, "r"),
-            ({"type": "scalar_symbol", "kind": "trigpoly",
-              "coeffs": [{"offset": 2**63, "value": [1.0, 0.0]}]}, "offset"),
-        ],
-        ids=["non-object-document", "empty-coeffs", "non-object-coeff",
-             "duplicate-offset", "nan-coefficient", "negative-order",
-             "radius-above-one", "nan-radius", "overflowing-radius",
-             "offset-beyond-64-bits"],
-    )
-    def test_malformed_rejected_naming_the_field(self, payload, field):
-        with pytest.raises(SerializationError) as err:
-            symbol_from_payload(payload)
-        assert err.value.field == field
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(SerializationError) as err:
-            symbol_from_payload({"type": "scalar_symbol", "kind": "gauss"})
-        assert err.value.field == "kind"
-
-
-class TestEstimatePayload:
-    def test_exact_estimate_witness_reference(self):
-        rng = np.random.default_rng(3)
-        payload = estimate_to_payload(op_norm(random_dense(4, 2, rng)))
-        assert payload["kind"] == "exact_svd"
-        assert payload["witness"]["kind"] == "block_vector"
-        assert payload["witness"]["norm"] == pytest.approx(1.0)
-
-    def test_sampled_estimate(self):
-        rng = np.random.default_rng(4)
-        est = multiplier_lower_bound(random_dense(4, 2, rng), trials=8)
-        payload = estimate_to_payload(est)
-        assert payload["samples"] == 8
-        assert payload["value"] == pytest.approx(est.value)
-
-
-class TestProfilePayload:
-    def _profile(self):
-        rng = np.random.default_rng(5)
-        a = random_banded(12, 2, rng, (0, 1))
-        return smoothing_profile(a, fejer_family(), (1, 4, 16))
-
-    def test_round_trip(self):
-        profile = self._profile()
-        back = profile_from_payload(profile_to_payload(profile))
-        assert back == profile
-
-    @pytest.mark.parametrize(
-        "field, value, named",
-        [
-            ("indices", ["x", 4.0, 16.0], "indices"),
-            ("indices", [None, 4.0, 16.0], "indices"),
-            ("indices", [], "indices"),
-            ("indices", [1.0, float("inf"), 16.0], "indices"),
-            ("indices", [1.0, 4.0, 10**400], "indices"),
-            ("distances", [0.5, True, 0.1], "distances"),
-            ("distances", [0.5, float("nan"), 0.1], "distances"),
-            ("distances", [0.5, 0.1], "distances"),
-            ("threshold_index", "abc", "threshold_index"),
-            ("threshold_index", False, "threshold_index"),
-            ("threshold_index", float("nan"), "threshold_index"),
-            ("tolerance", float("inf"), "tolerance"),
-            ("floor", float("nan"), "floor"),
-        ],
-        ids=["string-index", "null-index", "no-indices", "infinite-index",
-             "overflowing-index", "boolean-distance", "nan-distance",
-             "lengths-differ", "string-threshold", "boolean-threshold",
-             "nan-threshold", "infinite-tolerance", "nan-floor"],
-    )
-    def test_malformed_rejected_naming_the_field(self, field, value, named):
-        payload = profile_to_payload(self._profile())
-        payload[field] = value
-        with pytest.raises(SerializationError) as err:
-            profile_from_payload(payload)
-        assert err.value.field == named
-
-    def test_missing_threshold_rejected(self):
-        payload = profile_to_payload(self._profile())
-        del payload["threshold_index"]
-        with pytest.raises(SerializationError) as err:
-            profile_from_payload(payload)
-        assert err.value.field == "threshold_index"
-
-    def test_csv_rows(self):
-        profile = self._profile()
-        header, rows = profile_csv_rows(profile)
-        assert header == ["index", "distance"]
-        assert len(rows) == 3
-        assert rows[0][0] == 1.0
-
 
 class TestCsvFormatting:
     def test_format_cell(self):
@@ -442,6 +296,20 @@ class TestConvert:
         assert out.structure == "dense"
         assert allclose(out, a, tol=0)
         assert load_json(dst)["structure"] == "dense"
+
+    def test_densify_refuses_size_past_the_limit(self, tmp_path):
+        # one size past the largest N whose dense (N d)^2 array fits the limit
+        payload = _toeplitz_payload()
+        payload["N"] = math.isqrt(DENSE_BYTES_LIMIT // 16) // payload["d"] + 1
+        src = tmp_path / "a.json"
+        dst = tmp_path / "b.json"
+        save_json(src, payload)
+        with pytest.raises(SerializationError) as err:
+            convert(src, dst, densify=True)
+        assert err.value.field == "N"
+        needed = 16 * (payload["N"] * payload["d"]) ** 2
+        assert f"needs {needed} bytes" in str(err.value)
+        assert not dst.exists()
 
     def test_huge_toeplitz(self, tmp_path):
         # no array can hold N = 10**400 blocks: the writer reads the stored ones
