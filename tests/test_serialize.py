@@ -253,6 +253,15 @@ class TestMalformedPayload:
             matrix_from_payload(payload)
         assert err.value.field == "offset"
 
+    def test_boolean_accepted_where_asked_for(self):
+        payload = _toeplitz_payload()
+        assert payload["upper_triangular"] is True
+        assert matrix_from_payload(payload).upper_triangular == payload["upper_triangular"]
+        payload["N"] = True
+        with pytest.raises(SerializationError) as err:
+            matrix_from_payload(payload)
+        assert err.value.field == "N"
+
     def test_non_object_document_rejected(self):
         with pytest.raises(SerializationError):
             matrix_from_payload([1, 2])
