@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .errors import (
     DiscDomainError,
     StructureError,
 )
-from .kernels import ScalarSymbol, SummabilityKernel, smooth
+from .kernels import ScalarSymbol, SummabilityKernel, _TrigPolynomial, smooth
 from .matrices import TOEPLITZ, BlockMatrix, scale_diagonals
 from .norms import NormEstimate, op_norm, symbol_sup_norm
 
@@ -50,59 +50,6 @@ __all__ = [
 
 RELATIVE_PROFILE_TOLERANCE = 1e-3
 BOUNDARY_ANGLES = 8
-
-
-class _TrigPolynomial:
-    """Trig polynomial ``t -> sum_l c_l e^{i l t}``, ``c_l`` of rank ``_rank``."""
-
-    __slots__ = ("_coeffs", "_dim")
-
-    def __init__(self, coefficients: Mapping[int, np.ndarray]):
-        if not coefficients:
-            raise ValueError(f"{self._noun} needs at least one coefficient")
-        coeffs = {}
-        dim = None
-        for offset, part in coefficients.items():
-            arr = np.array(part, dtype=complex)
-            arr.flags.writeable = False
-            if arr.ndim != self._rank or len(set(arr.shape)) != 1:
-                raise DimensionMismatchError(arr.shape, ("d",) * self._rank, self._part)
-            if dim is None:
-                dim = arr.shape[0]
-            elif arr.shape[0] != dim:
-                raise DimensionMismatchError(arr.shape, (dim,) * self._rank, self._part)
-            coeffs[int(offset)] = arr
-        self._coeffs = coeffs
-        self._dim = dim
-
-    @property
-    def dim(self) -> int:
-        return self._dim
-
-    @property
-    def degree(self) -> int:
-        return max(abs(l) for l in self._coeffs)
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self._coeffs))
-
-    def coeff(self, offset: int) -> np.ndarray:
-        part = self._coeffs.get(int(offset))
-        if part is None:
-            return np.zeros((self._dim,) * self._rank, dtype=complex)
-        return part
-
-    def values(self, t: np.ndarray) -> np.ndarray:
-        """Pointwise values, shape ``(len(t),)`` plus the coefficient shape."""
-        t = np.asarray(t, dtype=float)
-        offsets = np.array(self.support())
-        parts = np.stack([self._coeffs[int(l)] for l in offsets])
-        phases = np.exp(1j * np.outer(t, offsets))
-        flat = phases @ parts.reshape(len(offsets), -1)
-        return flat.reshape(-1, *parts.shape[1:])
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(degree={self.degree}, dim={self._dim})"
 
 
 class OperatorSymbol(_TrigPolynomial):
@@ -232,14 +179,8 @@ def toeplitz_from_symbol(symbol: OperatorSymbol, size: int) -> BlockMatrix:
     Coefficients beyond the truncation window are not representable and
     raise :class:`CoefficientSupportError`.
     """
-    coeffs = {}
-    for offset in symbol.support():
-        if abs(offset) > size - 1:
-            raise CoefficientSupportError(
-                offset, (-(size - 1), size - 1), "toeplitz truncation"
-            )
-        coeffs[offset] = symbol.coeff(offset)
-    return BlockMatrix.toeplitz(coeffs, size)
+    support = symbol.support()
+    return BlockMatrix.toeplitz(dict(zip(support, symbol.coeff_array(support))), size)
 
 
 def _require_toeplitz(a: BlockMatrix, what: str) -> None:
@@ -269,8 +210,8 @@ def coefficient_action(a: BlockMatrix, p: VectorPolynomial) -> np.ndarray:
     if p.dim != a.dim:
         raise DimensionMismatchError((a.dim,), (p.dim,), "coefficient action")
     out = np.zeros(a.dim, dtype=complex)
-    for offset in p.support():
-        part = p.coeff(offset)
+    support = p.support()
+    for offset, part in zip(support, p.coeff_array(support)):
         if not np.any(part):
             continue
         if abs(offset) > a.size - 1:

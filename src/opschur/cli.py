@@ -141,6 +141,8 @@ def _run_command(args, parser: _Parser) -> int:
         parser.error("--d must be at least 1")
     if args.size < 2:
         parser.error("--N must be at least 2")
+    if args.seed < 0:
+        parser.error("--seed must be non-negative")
     out_dir = Path(args.out if args.out is not None
                    else os.environ.get(OUTPUT_DIR_VARIABLE, "opschur-out"))
     try:

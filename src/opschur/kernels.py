@@ -1,8 +1,8 @@
 """Scalar symbols on the torus, summability kernels, and smoothing.
 
-A :class:`ScalarSymbol` is a scalar function on the torus known through
-its Fourier coefficients: an explicit trigonometric polynomial, or one
-of the classical closed-form families (Fejer, Dirichlet, Poisson).
+A :class:`ScalarSymbol` is a trigonometric polynomial (explicit, Fejer
+or Dirichlet) stored like the vector and operator polynomials of
+:mod:`opschur.analysis`, or the Poisson kernel in closed form.
 Masks turn a symbol into a toeplitz :class:`BlockMatrix` whose blocks
 are multiples of the identity; Schur-multiplying by a mask rescales
 each diagonal by the matching coefficient, which is what
@@ -20,7 +20,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import StructureError
+from .errors import DimensionMismatchError, StructureError
 from .matrices import BlockMatrix, scale_diagonals
 
 __all__ = [
@@ -47,30 +47,95 @@ L1_TOLERANCE = 1e-6
 L1_FLATNESS = 1e-3
 
 
-class ScalarSymbol:
+class _TrigPolynomial:
+    """Trig polynomial ``t -> sum_l c_l e^{i l t}``, ``c_l`` of rank ``_rank``.
+
+    The coefficients are scalars (rank 0), vectors in ``C^d`` (rank 1)
+    or operators on ``C^d`` (rank 2), stacked once in ascending order of
+    offset.  Lookups and values return new arrays, never the storage.
+    """
+
+    __slots__ = ("_offsets", "_coeffs")
+
+    def __init__(self, coefficients: Mapping[int, object]):
+        if not coefficients:
+            raise ValueError(f"{self._noun} needs at least one coefficient")
+        parts = {int(l): np.asarray(c, dtype=complex) for l, c in coefficients.items()}
+        offsets = sorted(parts)
+        stacked = [parts[l] for l in offsets]
+        for arr in stacked:
+            if arr.ndim != self._rank or len(set(arr.shape)) > 1:
+                raise DimensionMismatchError(arr.shape, ("d",) * self._rank, self._part)
+            if arr.shape != stacked[0].shape:
+                raise DimensionMismatchError(arr.shape, stacked[0].shape, self._part)
+        self._offsets = np.array(offsets, dtype=int)
+        self._coeffs = np.stack(stacked)
+
+    @classmethod
+    def _from_arrays(cls, offsets: np.ndarray, coeffs: np.ndarray):
+        """Wrap ascending ``offsets`` and their stacked coefficients."""
+        self = cls.__new__(cls)
+        self._offsets, self._coeffs = offsets, coeffs
+        return self
+
+    @property
+    def dim(self) -> int:
+        """Side ``d`` of the coefficient space; 1 for scalar coefficients."""
+        return self._coeffs.shape[-1] if self._rank else 1
+
+    @property
+    def degree(self) -> int:
+        """Largest |offset| with a nonzero coefficient, 0 if there is none."""
+        nonzero = np.any(self._coeffs.reshape(len(self._offsets), -1) != 0, axis=1)
+        return int(np.max(np.abs(self._offsets[nonzero]), initial=0))
+
+    def support(self) -> tuple[int, ...]:
+        """Stored offsets, ascending."""
+        return tuple(self._offsets.tolist())
+
+    def coeff_array(self, offsets) -> np.ndarray:
+        """Coefficients at an integer array of offsets, zero off the support."""
+        offsets = np.asarray(offsets, dtype=int)
+        index = np.minimum(np.searchsorted(self._offsets, offsets), len(self._offsets) - 1)
+        hit = self._offsets[index] == offsets
+        return np.where(hit.reshape(hit.shape + (1,) * self._rank), self._coeffs[index], 0)
+
+    def coeff(self, offset: int):
+        """The coefficient at ``offset``: a complex number or an array."""
+        return self.coeff_array(offset)[()]
+
+    def values(self, t: np.ndarray) -> np.ndarray:
+        """Pointwise values, shape ``(len(t),)`` plus the coefficient shape."""
+        # offsets x angles: the summation order the recorded experiment bytes use
+        phases = np.exp(1j * np.outer(self._offsets, np.asarray(t, dtype=float)))
+        flat = self._coeffs.reshape(len(self._offsets), -1).T @ phases
+        return flat.T.reshape(-1, *self._coeffs.shape[1:])
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(degree={self.degree}, dim={self.dim})"
+
+
+class ScalarSymbol(_TrigPolynomial):
     """Scalar torus function described by its Fourier coefficients."""
 
-    __slots__ = ("_kind", "_coeffs", "_param")
-
-    def __init__(self, kind: str, coeffs=None, param=None):
-        self._kind = kind
-        self._coeffs = coeffs
-        self._param = param
+    __slots__ = ()
+    _rank = 0
+    _noun = "scalar symbol"
+    _part = "symbol coefficient"
 
     @classmethod
     def trig_polynomial(cls, coeffs: Mapping[int, complex]) -> "ScalarSymbol":
         """Finitely supported symbol ``t -> sum_l c_l e^{i l t}``."""
-        cleaned = {int(l): complex(c) for l, c in coeffs.items()}
-        if not cleaned:
-            cleaned = {0: 0j}
-        return cls("trigpoly", coeffs=cleaned)
+        return cls(coeffs or {0: 0j})
 
     @classmethod
     def fejer(cls, n: int) -> "ScalarSymbol":
         """Fejer kernel of order ``n``: coefficients ``1 - |l| / (n + 1)``."""
         if n < 0:
             raise ValueError(f"fejer order must be >= 0, got {n}")
-        return cls("fejer", param=int(n))
+        n = int(n)
+        offsets = np.arange(-n, n + 1)
+        return cls._from_arrays(offsets, (1.0 - np.abs(offsets) / (n + 1)).astype(complex))
 
     @classmethod
     def dirichlet(cls, n: int) -> "ScalarSymbol":
@@ -81,80 +146,49 @@ class ScalarSymbol:
         """
         if n < 0:
             raise ValueError(f"dirichlet order must be >= 0, got {n}")
-        return cls("dirichlet", param=int(n))
+        n = int(n)
+        return cls._from_arrays(np.arange(-n, n + 1), np.ones(2 * n + 1, dtype=complex))
 
-    @classmethod
-    def poisson(cls, r: float) -> "ScalarSymbol":
+    @staticmethod
+    def poisson(r: float) -> "ScalarSymbol":
         """Poisson kernel at radius ``r``: coefficients ``r ** |l|``."""
-        r = float(r)
-        if not 0.0 <= r < 1.0:
-            raise ValueError(f"poisson radius must lie in [0, 1), got {r}")
-        return cls("poisson", param=r)
-
-    @property
-    def degree(self) -> int | None:
-        """Largest |offset| with a nonzero coefficient, None if unbounded."""
-        if self._kind == "trigpoly":
-            nonzero = [abs(l) for l, c in self._coeffs.items() if c != 0]
-            return max(nonzero) if nonzero else 0
-        if self._kind in ("fejer", "dirichlet"):
-            return self._param
-        return None
-
-    def support(self) -> tuple[int, ...] | None:
-        """Stored offsets, ascending; None when all of Z may contribute."""
-        if self._kind == "trigpoly":
-            return tuple(sorted(self._coeffs))
-        if self._kind in ("fejer", "dirichlet"):
-            n = self._param
-            return tuple(range(-n, n + 1))
-        return None
-
-    def coeff(self, offset: int) -> complex:
-        return complex(self.coeff_array(np.array([offset]))[0])
-
-    def coeff_array(self, offsets: np.ndarray) -> np.ndarray:
-        """Vectorized coefficient lookup."""
-        offsets = np.asarray(offsets, dtype=int)
-        if self._kind == "trigpoly":
-            out = np.zeros(offsets.shape, dtype=complex)
-            for i, l in np.ndenumerate(offsets):
-                out[i] = self._coeffs.get(int(l), 0j)
-            return out
-        if self._kind == "fejer":
-            return np.maximum(0.0, 1.0 - np.abs(offsets) / (self._param + 1)).astype(
-                complex
-            )
-        if self._kind == "dirichlet":
-            return (np.abs(offsets) <= self._param).astype(complex)
-        return (self._param ** np.abs(offsets)).astype(complex)
-
-    def values(self, t: np.ndarray) -> np.ndarray:
-        """Pointwise values on a grid of angles.
-
-        Finite-support symbols are summed from their coefficients, so
-        there is no removable singularity to treat; the Poisson kernel
-        uses its closed form.
-        """
-        t = np.asarray(t, dtype=float)
-        if self._kind == "poisson":
-            r = self._param
-            return ((1 - r * r) / (1 - 2 * r * np.cos(t) + r * r)).astype(complex)
-        offsets = np.array(self.support())
-        coeffs = self.coeff_array(offsets)
-        return coeffs @ np.exp(1j * np.outer(offsets, t))
+        return PoissonSymbol(r)
 
     def l1_fourier_norm(self) -> float:
         """Sum of coefficient magnitudes (the Wiener-algebra norm)."""
-        if self._kind == "poisson":
-            r = self._param
-            return (1 + r) / (1 - r)
-        return float(np.sum(np.abs(self.coeff_array(np.array(self.support())))))
+        return float(np.sum(np.abs(self._coeffs)))
+
+
+class PoissonSymbol(ScalarSymbol):
+    """Poisson kernel ``(1 - r^2) / (1 - 2 r cos t + r^2)``, kept in closed form.
+
+    Its support is all of Z, so ``support()`` and ``degree`` are None.
+    """
+
+    __slots__ = ("_r",)
+    degree = None
+
+    def __init__(self, r: float):
+        r = float(r)
+        if not 0.0 <= r < 1.0:
+            raise ValueError(f"poisson radius must lie in [0, 1), got {r}")
+        self._r = r
+
+    def support(self) -> None:
+        return None
+
+    def coeff_array(self, offsets) -> np.ndarray:
+        return (self._r ** np.abs(np.asarray(offsets, dtype=int))).astype(complex)
+
+    def values(self, t: np.ndarray) -> np.ndarray:
+        r = self._r
+        return ((1 - r * r) / (1 - 2 * r * np.cos(np.asarray(t, float)) + r * r)).astype(complex)
+
+    def l1_fourier_norm(self) -> float:
+        return (1 + self._r) / (1 - self._r)
 
     def __repr__(self) -> str:
-        if self._kind == "trigpoly":
-            return f"ScalarSymbol(trigpoly, degree={self.degree})"
-        return f"ScalarSymbol({self._kind}, {self._param})"
+        return f"PoissonSymbol({self._r})"
 
 
 def convolve(a: ScalarSymbol, b: ScalarSymbol) -> ScalarSymbol:
@@ -166,11 +200,8 @@ def convolve(a: ScalarSymbol, b: ScalarSymbol) -> ScalarSymbol:
     support = a.support() if a.support() is not None else b.support()
     if support is None:
         raise StructureError("convolve needs at least one finitely supported symbol")
-    offsets = np.array(support)
-    products = a.coeff_array(offsets) * b.coeff_array(offsets)
-    return ScalarSymbol.trig_polynomial(
-        {int(l): c for l, c in zip(offsets, products)}
-    )
+    offsets = np.array(support, dtype=int)
+    return ScalarSymbol._from_arrays(offsets, a.coeff_array(offsets) * b.coeff_array(offsets))
 
 
 def torus_grid(points: int = TORUS_GRID_POINTS) -> np.ndarray:
@@ -246,11 +277,15 @@ def fejer_family() -> SummabilityKernel:
     return SummabilityKernel("fejer", ScalarSymbol.fejer, 1.0)
 
 
+def _poisson_at(n: int) -> ScalarSymbol:
+    if n < 1:
+        raise ValueError(f"poisson family index n must be >= 1, got {n}")
+    return PoissonSymbol(1.0 - 1.0 / n)
+
+
 def poisson_family() -> SummabilityKernel:
     """Poisson kernels indexed through ``r_n = 1 - 1/n``."""
-    return SummabilityKernel(
-        "poisson", lambda n: ScalarSymbol.poisson(1.0 - 1.0 / n), 1.0
-    )
+    return SummabilityKernel("poisson", _poisson_at, 1.0)
 
 
 def dirichlet_family() -> SummabilityKernel:

@@ -458,10 +458,9 @@ def _gaussian(rng: np.random.Generator, shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
 
 
-def random_dense(size: int, dim: int, rng, scale: float = 1.0) -> BlockMatrix:
+def random_dense(size: int, dim: int, rng) -> BlockMatrix:
     """Dense matrix with independent complex Gaussian entries."""
-    rng = _as_rng(rng)
-    return BlockMatrix.dense(scale * _gaussian(rng, (size, size, dim, dim)))
+    return BlockMatrix.dense(_gaussian(_as_rng(rng), (size, size, dim, dim)))
 
 
 def random_toeplitz(
@@ -497,9 +496,5 @@ def random_banded(
     return BlockMatrix.banded(diags, size)
 
 
-def random_vector(size: int, dim: int, rng, unit: bool = False) -> BlockVector:
-    rng = _as_rng(rng)
-    v = _gaussian(rng, (size, dim))
-    if unit:
-        v = v / np.linalg.norm(v)
-    return BlockVector(v)
+def random_vector(size: int, dim: int, rng) -> BlockVector:
+    return BlockVector(_gaussian(_as_rng(rng), (size, dim)))

@@ -445,11 +445,12 @@ def _refined_sup(point_sups: Callable[[np.ndarray], np.ndarray], start: int) -> 
 def symbol_sup_norm(symbol) -> SupNorm:
     """Supremum of ``|symbol(t)|`` over the torus, on a finite grid.
 
-    ``symbol`` needs a ``values(t)`` method returning per-point d x d
-    matrices (operator symbols) or vectors; the pointwise norm is the
-    spectral norm or the Euclidean norm accordingly.  The grid starts
-    at ``4 * (degree + 1)`` points (at least 64) and is doubled until
-    the supremum moves by at most ``SUP_REFINEMENT_TOLERANCE``.
+    ``symbol`` is a scalar symbol, vector polynomial or operator symbol;
+    the pointwise norm is the modulus, the Euclidean norm or the
+    spectral norm accordingly.  The grid starts at ``4 * (degree + 1)``
+    points (at least 64; degree None, unbounded support, counts as 0)
+    and is doubled until the supremum moves by at most
+    ``SUP_REFINEMENT_TOLERANCE``.
     """
 
     def point_sups(t: np.ndarray) -> np.ndarray:
@@ -460,8 +461,7 @@ def symbol_sup_norm(symbol) -> SupNorm:
             return np.linalg.norm(vals, axis=-1)
         return np.abs(vals)
 
-    degree = getattr(symbol, "degree", None) or 0
-    return _refined_sup(point_sups, 4 * (degree + 1))
+    return _refined_sup(point_sups, 4 * ((symbol.degree or 0) + 1))
 
 
 _TRIAL_FAMILIES = ("identity", "dense", "rank_one", "modulation", "diagonal")

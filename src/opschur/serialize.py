@@ -55,9 +55,10 @@ def save_json(path, payload) -> None:
 
 
 def load_json(path):
+    """Parse a UTF-8 JSON file; a document that does not decode is refused."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError covers bad UTF-8 and JSON
         raise SerializationError("<document>", f"invalid JSON: {exc}") from exc
 
 

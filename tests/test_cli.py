@@ -8,7 +8,7 @@ import pytest
 
 from opschur.matrices import random_toeplitz
 
-from test_serialize import MALFORMED, _toeplitz_payload
+from test_serialize import MALFORMED, UNDECODABLE, _toeplitz_payload
 from opschur.serialize import DENSE_BYTES_LIMIT, matrix_to_payload, save_json
 
 
@@ -118,6 +118,14 @@ class TestConfigErrors:
         result = run_cli("run", "--N", "1")
         assert result.returncode == 1
 
+    def test_negative_seed(self, tmp_path):
+        result = run_cli("run", "--experiment", "norm-identities", "--seed", "-1",
+                         "--out", str(tmp_path / "out"))
+        assert result.returncode == 1
+        assert "--seed must be non-negative" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_no_command(self):
         result = run_cli()
         assert result.returncode == 1
@@ -158,6 +166,15 @@ class TestConvert:
                          str(tmp_path / "out.json"))
         assert result.returncode == 1
         assert result.stderr.strip()
+
+    @pytest.mark.parametrize("case", sorted(UNDECODABLE))
+    def test_undecodable_document_exits_one(self, tmp_path, case):
+        src = tmp_path / "bad.json"
+        src.write_bytes(UNDECODABLE[case])
+        result = run_cli("convert", str(src), str(tmp_path / "out.json"))
+        assert result.returncode == 1
+        assert result.stderr.startswith("opschur: field '<document>': invalid JSON")
+        assert "Traceback" not in result.stderr
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_payload_exits_one(self, tmp_path, case):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opschur.analysis import OperatorSymbol, VectorPolynomial
 from opschur.errors import StructureError
 from opschur.kernels import (
     ScalarSymbol,
@@ -107,6 +108,56 @@ class TestScalarSymbol:
         assert ScalarSymbol.dirichlet(2).l1_fourier_norm() == pytest.approx(5.0)
 
 
+# scalar, vector and operator coefficients share one storage
+RANKS = {0: ScalarSymbol.trig_polynomial, 1: VectorPolynomial, 2: OperatorSymbol}
+
+
+class TestTrigPolynomial:
+    @pytest.mark.parametrize("rank", sorted(RANKS))
+    def test_coeff_array_matches_dict_lookup(self, rank):
+        rng = np.random.default_rng(40 + rank)
+        shape = (3,) * rank
+        zero = np.zeros(shape, dtype=complex)
+        for _ in range(20):
+            support = rng.choice(np.arange(-12, 13), size=int(rng.integers(1, 8)),
+                                 replace=False)
+            reference = {int(l): gaussian(rng, shape) for l in support}
+            symbol = RANKS[rank](reference)
+            assert symbol.support() == tuple(sorted(reference))
+            offsets = rng.integers(-16, 17, size=(4, 5))
+            expected = np.array([reference.get(int(l), zero) for l in offsets.flat])
+            got = symbol.coeff_array(offsets)
+            assert got.shape == offsets.shape + shape
+            np.testing.assert_array_equal(got.reshape(expected.shape), expected)
+            for l in (int(support[0]), 13, -13):
+                np.testing.assert_array_equal(symbol.coeff(l), reference.get(l, zero))
+
+    @pytest.mark.parametrize("rank", sorted(RANKS))
+    def test_degree_ignores_zero_coefficients(self, rank):
+        shape = (2,) * rank
+        zero = np.zeros(shape)
+        one = np.ones(shape)
+        symbol = RANKS[rank]({-5: zero, 0: one, 2: -one, 7: zero})
+        assert symbol.degree == 2
+        assert symbol.support() == (-5, 0, 2, 7)
+        assert RANKS[rank]({-3: zero, 4: zero}).degree == 0
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 64, 1000, 4095, 4096])
+    def test_fejer_and_dirichlet_equal_closed_forms(self, n):
+        offsets = np.arange(-n - 3, n + 4)
+        fejer = ScalarSymbol.fejer(n)
+        dirichlet = ScalarSymbol.dirichlet(n)
+        assert fejer.support() == dirichlet.support() == tuple(range(-n, n + 1))
+        assert fejer.degree == dirichlet.degree == n
+        np.testing.assert_array_equal(
+            fejer.coeff_array(offsets),
+            np.maximum(0.0, 1.0 - np.abs(offsets) / (n + 1)).astype(complex),
+        )
+        np.testing.assert_array_equal(
+            dirichlet.coeff_array(offsets), (np.abs(offsets) <= n).astype(complex)
+        )
+
+
 class TestQuadrature:
     def test_mean_of_trig_polynomial_is_zero_coefficient(self):
         s = ScalarSymbol.trig_polynomial({-2: 5.0, 0: 1.5j, 1: -2.0})
@@ -169,6 +220,11 @@ class TestAxiomChecks:
         assert report.rows[1].tails[0] == pytest.approx(
             POISSON_TAIL_HALF[0.98], abs=1e-7
         )
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_poisson_family_needs_index_at_least_one(self, n):
+        with pytest.raises(ValueError, match=f"index n must be >= 1, got {n}"):
+            poisson_family()(n)
 
     def test_family_calls_produce_symbols(self):
         assert fejer_family()(3).degree == 3

@@ -26,6 +26,17 @@ from opschur.serialize import (
 )
 
 
+# Documents that json.loads refuses with something other than a
+# JSONDecodeError: bytes that are not UTF-8, an integer literal past
+# Python's 4,300-digit conversion limit, and arrays nested past the
+# recursion limit.
+UNDECODABLE = {
+    "non_utf8": b'{"type": "matrix", "N": 2\xff}',
+    "long_integer": b'{"N": ' + b"7" * 5000 + b"}",
+    "deep_nesting": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
 def _samples(rng):
     return (
         random_dense(4, 2, rng),
@@ -338,3 +349,11 @@ class TestConvert:
         src.write_text("{not json")
         with pytest.raises(SerializationError):
             load_json(src)
+
+    @pytest.mark.parametrize("case", sorted(UNDECODABLE))
+    def test_undecodable_document_rejected(self, tmp_path, case):
+        src = tmp_path / "bad.json"
+        src.write_bytes(UNDECODABLE[case])
+        with pytest.raises(SerializationError) as err:
+            load_json(src)
+        assert err.value.field == "<document>"
