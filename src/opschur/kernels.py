@@ -15,13 +15,14 @@ trigonometric polynomials of degree below half the grid size exactly.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatchError, StructureError
-from .matrices import BlockMatrix, scale_diagonals
+from .matrices import BlockMatrix, _offset, scale_diagonals
 
 __all__ = [
     "TORUS_GRID_POINTS",
@@ -47,6 +48,17 @@ L1_TOLERANCE = 1e-6
 L1_FLATNESS = 1e-3
 
 
+def _order(n, name: str) -> int:
+    """A kernel order as a non-negative int; a non-integer is refused."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"{name} order n must be an integer, got {n!r}") from None
+    if n < 0:
+        raise ValueError(f"{name} order n must be >= 0, got {n}")
+    return n
+
+
 class _TrigPolynomial:
     """Trig polynomial ``t -> sum_l c_l e^{i l t}``, ``c_l`` of rank ``_rank``.
 
@@ -60,7 +72,10 @@ class _TrigPolynomial:
     def __init__(self, coefficients: Mapping[int, object]):
         if not coefficients:
             raise ValueError(f"{self._noun} needs at least one coefficient")
-        parts = {int(l): np.asarray(c, dtype=complex) for l, c in coefficients.items()}
+        parts = {
+            _offset(l, self._noun): np.asarray(c, dtype=complex)
+            for l, c in coefficients.items()
+        }
         offsets = sorted(parts)
         stacked = [parts[l] for l in offsets]
         for arr in stacked:
@@ -93,11 +108,20 @@ class _TrigPolynomial:
         """Stored offsets, ascending."""
         return tuple(self._offsets.tolist())
 
-    def coeff_array(self, offsets) -> np.ndarray:
-        """Coefficients at an integer array of offsets, zero off the support."""
+    def _lookup(self, offsets) -> tuple[np.ndarray, np.ndarray]:
+        """Storage positions of an integer array of offsets, and which of
+        them are stored; one binary search, whatever the degree."""
         offsets = np.asarray(offsets, dtype=int)
         index = np.minimum(np.searchsorted(self._offsets, offsets), len(self._offsets) - 1)
-        hit = self._offsets[index] == offsets
+        return index, self._offsets[index] == offsets
+
+    def _stores(self, offsets) -> np.ndarray:
+        """Which of an integer array of offsets are in the support."""
+        return self._lookup(offsets)[1]
+
+    def coeff_array(self, offsets) -> np.ndarray:
+        """Coefficients at an integer array of offsets, zero off the support."""
+        index, hit = self._lookup(offsets)
         return np.where(hit.reshape(hit.shape + (1,) * self._rank), self._coeffs[index], 0)
 
     def coeff(self, offset: int):
@@ -131,9 +155,7 @@ class ScalarSymbol(_TrigPolynomial):
     @classmethod
     def fejer(cls, n: int) -> "ScalarSymbol":
         """Fejer kernel of order ``n``: coefficients ``1 - |l| / (n + 1)``."""
-        if n < 0:
-            raise ValueError(f"fejer order must be >= 0, got {n}")
-        n = int(n)
+        n = _order(n, "fejer")
         offsets = np.arange(-n, n + 1)
         return cls._from_arrays(offsets, (1.0 - np.abs(offsets) / (n + 1)).astype(complex))
 
@@ -144,9 +166,7 @@ class ScalarSymbol(_TrigPolynomial):
         The classical non-example: its mean is 1 but its L1 norms grow
         without bound, so it fails the uniform-bound axiom.
         """
-        if n < 0:
-            raise ValueError(f"dirichlet order must be >= 0, got {n}")
-        n = int(n)
+        n = _order(n, "dirichlet")
         return cls._from_arrays(np.arange(-n, n + 1), np.ones(2 * n + 1, dtype=complex))
 
     @staticmethod
@@ -176,6 +196,9 @@ class PoissonSymbol(ScalarSymbol):
 
     def support(self) -> None:
         return None
+
+    def _stores(self, offsets) -> np.ndarray:
+        return np.ones(np.shape(offsets), dtype=bool)
 
     def coeff_array(self, offsets) -> np.ndarray:
         return (self._r ** np.abs(np.asarray(offsets, dtype=int))).astype(complex)
@@ -248,12 +271,12 @@ def smooth(a: BlockMatrix, symbol: ScalarSymbol) -> BlockMatrix:
     Equal, entry for entry, to ``schur_product(mask(symbol, N, d), a)``;
     the direct form skips building the mask.  A finitely supported
     symbol forces a banded (or toeplitz) result on the intersected
-    support.
+    support.  The stored diagonals are looked up in the symbol, so the
+    cost follows the matrix, not the symbol's degree.
     """
-    support = symbol.support()
-    if support is not None:
-        support = frozenset(support)
-    return scale_diagonals(a, symbol.coeff_array, support)
+    stored = np.array(a.diagonal_support())
+    kept = frozenset(stored[symbol._stores(stored)].tolist())
+    return scale_diagonals(a, symbol.coeff_array, kept)
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ be shared freely across threads.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -65,6 +66,39 @@ _STRUCTURES = (DENSE, TOEPLITZ, BANDED)
 def _frozen(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=complex)
     out.flags.writeable = False
+    return out
+
+
+def _offset(offset, owner: str) -> int:
+    """An offset key of ``owner`` as an int; a non-integer is refused,
+    never truncated onto a neighbouring offset."""
+    try:
+        return operator.index(offset)
+    except TypeError:
+        raise StructureError(f"{owner} offset {offset!r} is not an integer") from None
+
+
+def _compose(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Block products ``x[k] @ y[k]`` of two (K, d, d) stacks, as a fresh
+    array; a stack of one block broadcasts against the other.
+
+    The einsum runs on copies with the block axes first and the batch
+    axis last, so numpy's inner loop runs over the K blocks rather than
+    over the d entries of one block.  Every entry is still the sum over
+    the contracted index in ascending order, starting from zero, so the
+    result equals ``einsum("kab,kbc->kac", x, y)`` bit for bit.  Two
+    single blocks keep that einsum: the copies cost more than they save.
+    """
+    count = max(len(x), len(y))
+    if count == 1:
+        return np.einsum("kab,kbc->kac", x, y)
+    out = np.empty((count,) + x.shape[1:], dtype=complex)
+    np.einsum(
+        "abk,bck->ack",
+        np.ascontiguousarray(x.transpose(1, 2, 0)),
+        np.ascontiguousarray(y.transpose(1, 2, 0)),
+        out=out.transpose(1, 2, 0),
+    )
     return out
 
 
@@ -116,7 +150,7 @@ class BlockMatrix:
         stored = {}
         dim = None
         for offset, block in coefficients.items():
-            offset = int(offset)
+            offset = _offset(offset, "toeplitz")
             if abs(offset) > size - 1:
                 raise CoefficientSupportError(
                     offset, (-(size - 1), size - 1), "toeplitz coefficients"
@@ -139,7 +173,7 @@ class BlockMatrix:
         stored = {}
         dim = None
         for offset, run in diagonals.items():
-            offset = int(offset)
+            offset = _offset(offset, "banded")
             if abs(offset) > size - 1:
                 raise DiagonalRangeError(offset, size)
             arr = _frozen(np.asarray(run, dtype=complex))
@@ -158,6 +192,13 @@ class BlockMatrix:
     @classmethod
     def identity(cls, size: int, dim: int) -> "BlockMatrix":
         return cls.toeplitz({0: np.eye(dim)}, size)
+
+    @classmethod
+    def _from_dense(cls, blocks: np.ndarray) -> "BlockMatrix":
+        """Dense matrix owning the fresh (N, N, d, d) complex array ``blocks``."""
+        blocks.flags.writeable = False
+        return cls(size=blocks.shape[0], dim=blocks.shape[2], structure=DENSE,
+                   dense=blocks)
 
     @classmethod
     def _from_runs(cls, structure: str, size: int, dim: int, runs: dict) -> "BlockMatrix":
@@ -318,7 +359,7 @@ def _combine(a: BlockMatrix, b: BlockMatrix, op) -> BlockMatrix:
     """Entrywise binary combination with the usual structure promotion."""
     a._check_same_shape(b, "entrywise combination")
     if DENSE in (a.structure, b.structure):
-        return BlockMatrix.dense(op(a.blocks(), b.blocks()))
+        return BlockMatrix._from_dense(op(a.blocks(), b.blocks()))
     support = sorted(set(a.diagonal_support()) | set(b.diagonal_support()))
     runs = {l: op(a._run(l), b._run(l)) for l in support}
     return BlockMatrix._from_runs(_joint_structure(a, b), a.size, a.dim, runs)
@@ -337,8 +378,10 @@ def schur_product(a: BlockMatrix, b: BlockMatrix) -> BlockMatrix:
     structure = _joint_structure(a, b)
     support = sorted(set(a.diagonal_support()) & set(b.diagonal_support()))
     if structure == BANDED and len(support) == 2 * a.size - 1:
-        return BlockMatrix.dense(np.einsum("kjab,kjbc->kjac", a.blocks(), b.blocks()))
-    runs = {l: np.einsum("kab,kbc->kac", a._run(l), b._run(l)) for l in support}
+        n, d = a.size, a.dim
+        out = _compose(a.blocks().reshape(n * n, d, d), b.blocks().reshape(n * n, d, d))
+        return BlockMatrix._from_dense(out.reshape(n, n, d, d))
+    runs = {l: _compose(a._run(l), b._run(l)) for l in support}
     return BlockMatrix._from_runs(structure, a.size, a.dim, runs)
 
 
@@ -346,16 +389,23 @@ def apply(a: BlockMatrix, x: BlockVector) -> BlockVector:
     """Matrix action ``y_k = sum_j a(k, j) x_j``.
 
     Structured storage is applied diagonal by diagonal, so banded and
-    toeplitz matrices never materialize their dense form here.
+    toeplitz matrices never materialize their dense form here: a
+    constant (toeplitz) diagonal is one BLAS product with its block, a
+    banded run one einsum.  A dense matrix is one product with its
+    flattening.
     """
     if x.size != a.size or x.dim != a.dim:
         raise DimensionMismatchError((a.size, a.dim), (x.size, x.dim), "apply")
     if a.structure == DENSE:
-        return BlockVector(np.einsum("kjab,jb->ka", a._dense, x.parts))
+        return BlockVector.from_flat(a.flatten() @ x.flatten(), a.dim)
     out = np.zeros((a.size, a.dim), dtype=complex)
     for offset, run in a._diagonals.items():
         lo, hi = max(0, -offset), a.size - max(0, offset)
-        out[lo:hi] += np.einsum("kab,kb->ka", run, x.parts[lo + offset:hi + offset])
+        part = x.parts[lo + offset:hi + offset]
+        if len(run) == 1:
+            out[lo:hi] += part @ run[0].T
+        else:
+            out[lo:hi] += np.einsum("kab,kb->ka", run, part)
     return BlockVector(out)
 
 
@@ -365,7 +415,7 @@ def adjoint(a: BlockMatrix) -> BlockMatrix:
     diagonal at offset ``l`` to the adjoints of the one at ``-l``.
     """
     if a.structure == DENSE:
-        return BlockMatrix.dense(a._dense.transpose(1, 0, 3, 2).conj())
+        return BlockMatrix._from_dense(np.conj(a._dense.transpose(1, 0, 3, 2), order="C"))
     flipped = {-l: run.conj().transpose(0, 2, 1) for l, run in a._diagonals.items()}
     return BlockMatrix._from_runs(a.structure, a.size, a.dim, flipped)
 
@@ -430,9 +480,11 @@ def scale_diagonals(a: BlockMatrix, weight, support=None) -> BlockMatrix:
     """
     kept = [l for l in a.diagonal_support() if support is None or l in support]
     if a.structure == DENSE and len(kept) == 2 * a.size - 1:
+        # entry (k, j) takes the weight of offset j - k, at position j - k + N - 1
         index = np.arange(a.size)
-        weights = weight(index[None, :] - index[:, None])
-        return BlockMatrix.dense(a.blocks() * weights[:, :, None, None])
+        weights = weight(np.arange(1 - a.size, a.size))
+        gathered = weights[index[None, :] - index[:, None] + a.size - 1]
+        return BlockMatrix._from_dense(a.blocks() * gathered[:, :, None, None])
     weights = weight(np.array(kept, dtype=int))
     runs = {l: w * a._run(l) for l, w in zip(kept, weights)}
     return BlockMatrix._from_runs(_joint_structure(a, a), a.size, a.dim, runs)

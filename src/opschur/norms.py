@@ -335,22 +335,27 @@ def _gram_superblocks(a: BlockMatrix, rows: int) -> tuple[np.ndarray, np.ndarray
     the rows past N padded by zeros.  Block diagonal ``m`` of ``A* A`` is
     ``sum_p S[p, i]* S[p + m, i + m]`` over the column-aligned stack
     ``S[p, j] = a(j - lo - p, j)``: one einsum per ``m``, from the
-    stored runs alone.
+    stored runs alone.  The stack keeps the column index ``j`` last, so
+    the einsum's inner loop runs over columns rather than over the d
+    entries of a block; the sums are the same, bit for bit, as with
+    ``j`` second.
     """
     lo, hi = a.band_bounds()
     width, n, d = hi - lo, a.size, a.dim
     count = -(-n // rows)
-    stack = np.zeros((width + 1, count * rows + width, d, d), dtype=complex)
+    stack = np.zeros((width + 1, d, d, count * rows + width), dtype=complex)
     for offset in a.diagonal_support():
-        stack[offset - lo, max(0, offset):n - max(0, -offset)] = a.diagonal_run(offset)
+        stack[offset - lo, :, :, max(0, offset):n - max(0, -offset)] = (
+            a.diagonal_run(offset).transpose(1, 2, 0))
+    conj = stack.conj()
     diag = np.zeros((count, rows, rows, d, d), dtype=complex)
     upper = np.zeros_like(diag)
     for m in range(min(width, n - 1) + 1):
         gram = np.einsum(
-            "pkba,pkbc->kac",
-            stack[: width + 1 - m, : count * rows].conj(),
-            stack[m:, m : m + count * rows],
-        ).reshape(count, rows, d, d)
+            "pbak,pbck->ack",
+            conj[: width + 1 - m, :, :, : count * rows],
+            stack[m:, :, :, m : m + count * rows],
+        ).transpose(2, 0, 1).reshape(count, rows, d, d)
         inner = np.arange(rows - m)
         diag[:, inner, inner + m] = gram[:, : rows - m]
         diag[:, inner + m, inner] = gram[:, : rows - m].conj().transpose(0, 1, 3, 2)

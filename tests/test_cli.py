@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from opschur import cli, serialize
 from opschur.matrices import random_toeplitz
 
 from test_serialize import MALFORMED, UNDECODABLE, _toeplitz_payload
@@ -117,6 +118,26 @@ class TestConfigErrors:
     def test_bad_size(self):
         result = run_cli("run", "--N", "1")
         assert result.returncode == 1
+
+    def test_size_over_the_dense_limit_is_refused(self, tmp_path, monkeypatch):
+        # 16 (N d)^2 = 16384 bytes at the default N=16, d=2
+        monkeypatch.setattr(serialize, "DENSE_BYTES_LIMIT", 16383)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["run", "--experiment", "kernel-axioms",
+                      "--out", str(tmp_path / "out")])
+        assert exit_info.value.code == 1
+        assert not (tmp_path / "out").exists()
+        monkeypatch.setattr(serialize, "DENSE_BYTES_LIMIT", 16384)
+        assert cli.main(["run", "--experiment", "kernel-axioms",
+                         "--out", str(tmp_path / "out")]) == 0
+
+    def test_size_over_the_dense_limit_names_the_bytes(self, tmp_path):
+        result = run_cli("run", "--N", "4097", "--d", "1", "--out", str(tmp_path / "out"))
+        assert result.returncode == 1
+        assert f"needs {16 * 4097 ** 2} bytes" in result.stderr
+        assert str(DENSE_BYTES_LIMIT) in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_negative_seed(self, tmp_path):
         result = run_cli("run", "--experiment", "norm-identities", "--seed", "-1",

@@ -67,6 +67,17 @@ class TestScalarSymbol:
         assert s.coeff(-3) == pytest.approx(0.125)
         assert s.support() is None
 
+    @pytest.mark.parametrize("name", ["fejer", "dirichlet"])
+    @pytest.mark.parametrize("n", [3.5, 2.0, "3"])
+    def test_non_integer_order_is_refused(self, name, n):
+        with pytest.raises(ValueError, match=f"{name} order n must be an integer"):
+            getattr(ScalarSymbol, name)(n)
+
+    @pytest.mark.parametrize("name", ["fejer", "dirichlet"])
+    def test_negative_order_is_refused(self, name):
+        with pytest.raises(ValueError, match=f"{name} order n must be >= 0"):
+            getattr(ScalarSymbol, name)(-1)
+
     def test_poisson_rejects_bad_radius(self):
         with pytest.raises(ValueError):
             ScalarSymbol.poisson(1.0)
@@ -131,6 +142,13 @@ class TestTrigPolynomial:
             np.testing.assert_array_equal(got.reshape(expected.shape), expected)
             for l in (int(support[0]), 13, -13):
                 np.testing.assert_array_equal(symbol.coeff(l), reference.get(l, zero))
+
+    @pytest.mark.parametrize("rank", sorted(RANKS))
+    def test_non_integer_offsets_are_refused(self, rank):
+        one = np.ones((2,) * rank)
+        with pytest.raises(StructureError, match="offset 0.5 is not an integer"):
+            RANKS[rank]({0: one, 0.5: 2 * one})
+        assert RANKS[rank]({np.int64(-2): one}).support() == (-2,)
 
     @pytest.mark.parametrize("rank", sorted(RANKS))
     def test_degree_ignores_zero_coefficients(self, rank):
@@ -265,6 +283,24 @@ class TestSmooth:
                   else ScalarSymbol.poisson(0.6))
         via_mask = schur_product(mask(symbol, a.size, a.dim), a)
         assert allclose(smooth(a, symbol), via_mask, tol=1e-13)
+
+    @pytest.mark.parametrize("kind", ["dense", "toeplitz", "banded"])
+    def test_keeps_stored_diagonals_in_a_gapped_support(self, kind):
+        rng = np.random.default_rng(28)
+        if kind == "dense":
+            a = random_dense(6, 2, rng)
+        elif kind == "toeplitz":
+            a = random_toeplitz(6, 2, rng, range(-3, 5), decay=0.8)
+        else:
+            a = random_banded(6, 2, rng, (-3, 4), decay=0.8)
+        symbol = ScalarSymbol.trig_polynomial(
+            {-40: 1.0, -3: 0.5, -1: 2.0, 0: 0.0, 2: -1.0j, 4: 0.25, 9: 3.0})
+        out = smooth(a, symbol)
+        assert out.diagonal_support() == (-3, -1, 0, 2, 4)
+        for l in out.diagonal_support():
+            np.testing.assert_array_equal(
+                out.diagonal_run(l), symbol.coeff(l) * a.diagonal_run(l))
+        assert allclose(out, schur_product(mask(symbol, a.size, a.dim), a), tol=1e-13)
 
     def test_high_order_recovers_matrix(self):
         rng = np.random.default_rng(25)

@@ -78,6 +78,21 @@ class TestConstruction:
             BlockMatrix.toeplitz({5: np.eye(2)}, 4)
         assert err.value.offset == 5
 
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: BlockMatrix.toeplitz({0.7: np.eye(2)}, 4),
+         lambda: BlockMatrix.banded({-0.9: np.zeros((4, 2, 2))}, 4),
+         lambda: BlockMatrix.toeplitz({"1": np.eye(2)}, 4)],
+        ids=["toeplitz", "banded", "string"],
+    )
+    def test_non_integer_offsets_are_refused(self, build):
+        with pytest.raises(StructureError, match="offset .* is not an integer"):
+            build()
+
+    def test_numpy_integer_offsets_are_accepted(self):
+        a = BlockMatrix.toeplitz({np.int64(-1): np.eye(2), np.int32(2): np.eye(2)}, 4)
+        assert a.diagonal_support() == (-1, 2)
+
     def test_banded_runs(self):
         rng = np.random.default_rng(2)
         runs = {0: gaussian(rng, (4, 2, 2)), 1: gaussian(rng, (3, 2, 2))}
