@@ -49,8 +49,11 @@ L1_FLATNESS = 1e-3
 
 
 def _order(n, name: str) -> int:
-    """A kernel order as a non-negative int; a non-integer is refused."""
+    """A kernel order as a non-negative int; a non-integer, bools
+    included, is refused."""
     try:
+        if isinstance(n, bool):
+            raise TypeError
         n = operator.index(n)
     except TypeError:
         raise ValueError(f"{name} order n must be an integer, got {n!r}") from None

@@ -71,8 +71,11 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 def _offset(offset, owner: str) -> int:
     """An offset key of ``owner`` as an int; a non-integer is refused,
-    never truncated onto a neighbouring offset."""
+    never truncated onto a neighbouring offset.  A bool is refused too,
+    although ``operator.index(True)`` is 1."""
     try:
+        if isinstance(offset, bool):
+            raise TypeError
         return operator.index(offset)
     except TypeError:
         raise StructureError(f"{owner} offset {offset!r} is not an integer") from None
@@ -86,12 +89,9 @@ def _compose(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     axis last, so numpy's inner loop runs over the K blocks rather than
     over the d entries of one block.  Every entry is still the sum over
     the contracted index in ascending order, starting from zero, so the
-    result equals ``einsum("kab,kbc->kac", x, y)`` bit for bit.  Two
-    single blocks keep that einsum: the copies cost more than they save.
+    result equals ``einsum("kab,kbc->kac", x, y)`` bit for bit.
     """
     count = max(len(x), len(y))
-    if count == 1:
-        return np.einsum("kab,kbc->kac", x, y)
     out = np.empty((count,) + x.shape[1:], dtype=complex)
     np.einsum(
         "abk,bck->ack",

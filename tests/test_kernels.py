@@ -68,7 +68,7 @@ class TestScalarSymbol:
         assert s.support() is None
 
     @pytest.mark.parametrize("name", ["fejer", "dirichlet"])
-    @pytest.mark.parametrize("n", [3.5, 2.0, "3"])
+    @pytest.mark.parametrize("n", [3.5, 2.0, "3", True])
     def test_non_integer_order_is_refused(self, name, n):
         with pytest.raises(ValueError, match=f"{name} order n must be an integer"):
             getattr(ScalarSymbol, name)(n)
@@ -148,6 +148,8 @@ class TestTrigPolynomial:
         one = np.ones((2,) * rank)
         with pytest.raises(StructureError, match="offset 0.5 is not an integer"):
             RANKS[rank]({0: one, 0.5: 2 * one})
+        with pytest.raises(StructureError, match="offset False is not an integer"):
+            RANKS[rank]({False: one})
         assert RANKS[rank]({np.int64(-2): one}).support() == (-2,)
 
     @pytest.mark.parametrize("rank", sorted(RANKS))

@@ -82,8 +82,9 @@ class TestConstruction:
         "build",
         [lambda: BlockMatrix.toeplitz({0.7: np.eye(2)}, 4),
          lambda: BlockMatrix.banded({-0.9: np.zeros((4, 2, 2))}, 4),
-         lambda: BlockMatrix.toeplitz({"1": np.eye(2)}, 4)],
-        ids=["toeplitz", "banded", "string"],
+         lambda: BlockMatrix.toeplitz({"1": np.eye(2)}, 4),
+         lambda: BlockMatrix.toeplitz({True: np.eye(2)}, 4)],
+        ids=["toeplitz", "banded", "string", "True"],
     )
     def test_non_integer_offsets_are_refused(self, build):
         with pytest.raises(StructureError, match="offset .* is not an integer"):
