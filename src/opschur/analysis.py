@@ -27,7 +27,7 @@ from .errors import (
     DiscDomainError,
     StructureError,
 )
-from .kernels import ScalarSymbol, SummabilityKernel, _TrigPolynomial, smooth
+from .kernels import ScalarSymbol, SummabilityKernel, _TrigPolynomial, _count, smooth
 from .matrices import TOEPLITZ, BlockMatrix, scale_diagonals
 from .norms import NormEstimate, op_norm, symbol_sup_norm
 
@@ -145,7 +145,7 @@ def smoothing_profile(
     The default tolerance is ``RELATIVE_PROFILE_TOLERANCE`` times the
     operator norm of ``a``.
     """
-    orders = [int(n) for n in orders]
+    orders = [_count(n, "profile order") for n in orders]
     if not orders:
         raise ValueError("smoothing profile needs at least one order")
     reference = op_norm(a).value
@@ -236,9 +236,10 @@ def coefficient_action_bound(
     polynomials of bounded degree, Fejer-weighted polynomials with a
     random shift, and the rank-one reduction that feeds a random frame
     vector through rank-one operator coefficients.  Sampling only ever
-    certifies a lower bound.
+    certifies a lower bound.  ``trials`` must be an integer of at least 1.
     """
     _require_toeplitz(a, "coefficient action")
+    trials = _count(trials, "trials", 1)
     dim = a.dim
     window = min(max_degree, a.size - 1)
     best = -1.0

@@ -22,7 +22,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, StructureError
-from .matrices import BlockMatrix, _offset, scale_diagonals
+from .matrices import BlockMatrix, _integer, scale_diagonals
 
 __all__ = [
     "TORUS_GRID_POINTS",
@@ -48,17 +48,17 @@ L1_TOLERANCE = 1e-6
 L1_FLATNESS = 1e-3
 
 
-def _order(n, name: str) -> int:
-    """A kernel order as a non-negative int; a non-integer, bools
-    included, is refused."""
+def _count(n, what: str, least: int = 0) -> int:
+    """An order, index or count ``what`` as an int of at least ``least``;
+    a non-integer, bools included, is refused, never truncated."""
     try:
         if isinstance(n, bool):
             raise TypeError
         n = operator.index(n)
     except TypeError:
-        raise ValueError(f"{name} order n must be an integer, got {n!r}") from None
-    if n < 0:
-        raise ValueError(f"{name} order n must be >= 0, got {n}")
+        raise ValueError(f"{what} must be an integer, got {n!r}") from None
+    if n < least:
+        raise ValueError(f"{what} must be >= {least}, got {n}")
     return n
 
 
@@ -76,7 +76,7 @@ class _TrigPolynomial:
         if not coefficients:
             raise ValueError(f"{self._noun} needs at least one coefficient")
         parts = {
-            _offset(l, self._noun): np.asarray(c, dtype=complex)
+            _integer(l, f"{self._noun} offset"): np.asarray(c, dtype=complex)
             for l, c in coefficients.items()
         }
         offsets = sorted(parts)
@@ -158,7 +158,7 @@ class ScalarSymbol(_TrigPolynomial):
     @classmethod
     def fejer(cls, n: int) -> "ScalarSymbol":
         """Fejer kernel of order ``n``: coefficients ``1 - |l| / (n + 1)``."""
-        n = _order(n, "fejer")
+        n = _count(n, "fejer order n")
         offsets = np.arange(-n, n + 1)
         return cls._from_arrays(offsets, (1.0 - np.abs(offsets) / (n + 1)).astype(complex))
 
@@ -169,7 +169,7 @@ class ScalarSymbol(_TrigPolynomial):
         The classical non-example: its mean is 1 but its L1 norms grow
         without bound, so it fails the uniform-bound axiom.
         """
-        n = _order(n, "dirichlet")
+        n = _count(n, "dirichlet order n")
         return cls._from_arrays(np.arange(-n, n + 1), np.ones(2 * n + 1, dtype=complex))
 
     @staticmethod
@@ -304,9 +304,7 @@ def fejer_family() -> SummabilityKernel:
 
 
 def _poisson_at(n: int) -> ScalarSymbol:
-    if n < 1:
-        raise ValueError(f"poisson family index n must be >= 1, got {n}")
-    return PoissonSymbol(1.0 - 1.0 / n)
+    return PoissonSymbol(1.0 - 1.0 / _count(n, "poisson family index n", 1))
 
 
 def poisson_family() -> SummabilityKernel:
@@ -363,7 +361,7 @@ def kernel_axiom_check(
     the kernel over ``delta <= |t| <= pi`` against normalized arc
     length.
     """
-    orders = sorted(int(n) for n in orders)
+    orders = sorted(_count(n, "kernel order") for n in orders)
     if not orders:
         raise ValueError("kernel_axiom_check needs at least one order")
     t = torus_grid()

@@ -60,8 +60,6 @@ DENSE = "dense"
 TOEPLITZ = "toeplitz"
 BANDED = "banded"
 
-_STRUCTURES = (DENSE, TOEPLITZ, BANDED)
-
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=complex)
@@ -69,16 +67,16 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _offset(offset, owner: str) -> int:
-    """An offset key of ``owner`` as an int; a non-integer is refused,
-    never truncated onto a neighbouring offset.  A bool is refused too,
+def _integer(value, what: str) -> int:
+    """An offset or size ``what`` as an int; a non-integer is refused,
+    never truncated onto a neighbouring value.  A bool is refused too,
     although ``operator.index(True)`` is 1."""
     try:
-        if isinstance(offset, bool):
+        if isinstance(value, bool):
             raise TypeError
-        return operator.index(offset)
+        return operator.index(value)
     except TypeError:
-        raise StructureError(f"{owner} offset {offset!r} is not an integer") from None
+        raise StructureError(f"{what} {value!r} is not an integer") from None
 
 
 def _compose(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -107,25 +105,26 @@ class BlockMatrix:
 
     __slots__ = ("_size", "_dim", "_structure", "_dense", "_diagonals", "_cache")
 
-    def __init__(self, *, size, dim, structure, dense=None, diagonals=None):
-        size, dim = int(size), int(dim)
-        if structure not in _STRUCTURES:
-            raise StructureError(f"unknown structure tag {structure!r}")
+    def __init__(self, *args, **kwargs):
+        raise StructureError("BlockMatrix is not built directly: use BlockMatrix.dense, "
+                             ".toeplitz, .banded or .identity, or the random_* builders")
+
+    @classmethod
+    def _new(cls, structure: str, size: int, dim: int, dense=None,
+             diagonals=None) -> "BlockMatrix":
+        """The one constructor behind every builder; the integer size and
+        dim and the storage are checked by the caller, and the storage is
+        owned by the new matrix."""
         if size < 1 or dim < 1:
             raise StructureError(f"size and dim must be at least 1, got {size} and {dim}")
-        has_dense = isinstance(dense, np.ndarray)
-        has_runs = isinstance(diagonals, dict) and bool(diagonals)
-        if (has_dense, has_runs) != (structure == DENSE, structure != DENSE):
-            raise StructureError(
-                f"{structure!r} storage needs a dense array if and only if tagged "
-                "dense, and a non-empty diagonal map if and only if structured"
-            )
+        self = object.__new__(cls)
         self._size = size
         self._dim = dim
         self._structure = structure
         self._dense = dense
         self._diagonals = diagonals
         self._cache = {}
+        return self
 
     # -- constructors -------------------------------------------------
 
@@ -135,7 +134,7 @@ class BlockMatrix:
         arr = _frozen(blocks)
         if arr.ndim != 4 or arr.shape[0] != arr.shape[1] or arr.shape[2] != arr.shape[3]:
             raise DimensionMismatchError(arr.shape, ("N", "N", "d", "d"), "dense blocks")
-        return cls(size=arr.shape[0], dim=arr.shape[2], structure=DENSE, dense=arr)
+        return cls._new(DENSE, arr.shape[0], arr.shape[2], dense=arr)
 
     @classmethod
     def toeplitz(cls, coefficients: Mapping[int, np.ndarray], size: int) -> "BlockMatrix":
@@ -147,10 +146,11 @@ class BlockMatrix:
         """
         if not coefficients:
             raise ValueError("toeplitz matrix needs at least one stored offset")
+        size = _integer(size, "size")
         stored = {}
         dim = None
         for offset, block in coefficients.items():
-            offset = _offset(offset, "toeplitz")
+            offset = _integer(offset, "toeplitz offset")
             if abs(offset) > size - 1:
                 raise CoefficientSupportError(
                     offset, (-(size - 1), size - 1), "toeplitz coefficients"
@@ -163,17 +163,18 @@ class BlockMatrix:
             elif arr.shape[0] != dim:
                 raise DimensionMismatchError(arr.shape, (dim, dim), "toeplitz block")
             stored[offset] = _frozen(arr[None])
-        return cls(size=size, dim=dim, structure=TOEPLITZ, diagonals=stored)
+        return cls._new(TOEPLITZ, size, dim, diagonals=stored)
 
     @classmethod
     def banded(cls, diagonals: Mapping[int, np.ndarray], size: int) -> "BlockMatrix":
         """Build from a map ``offset -> (N - |offset|, d, d) run of blocks``."""
         if not diagonals:
             raise ValueError("banded matrix needs at least one stored diagonal")
+        size = _integer(size, "size")
         stored = {}
         dim = None
         for offset, run in diagonals.items():
-            offset = _offset(offset, "banded")
+            offset = _integer(offset, "banded offset")
             if abs(offset) > size - 1:
                 raise DiagonalRangeError(offset, size)
             arr = _frozen(np.asarray(run, dtype=complex))
@@ -187,7 +188,7 @@ class BlockMatrix:
             elif arr.shape[1] != dim:
                 raise DimensionMismatchError(arr.shape, (want, dim, dim), "banded block")
             stored[offset] = arr
-        return cls(size=size, dim=dim, structure=BANDED, diagonals=stored)
+        return cls._new(BANDED, size, dim, diagonals=stored)
 
     @classmethod
     def identity(cls, size: int, dim: int) -> "BlockMatrix":
@@ -197,8 +198,7 @@ class BlockMatrix:
     def _from_dense(cls, blocks: np.ndarray) -> "BlockMatrix":
         """Dense matrix owning the fresh (N, N, d, d) complex array ``blocks``."""
         blocks.flags.writeable = False
-        return cls(size=blocks.shape[0], dim=blocks.shape[2], structure=DENSE,
-                   dense=blocks)
+        return cls._new(DENSE, blocks.shape[0], blocks.shape[2], dense=blocks)
 
     @classmethod
     def _from_runs(cls, structure: str, size: int, dim: int, runs: dict) -> "BlockMatrix":
@@ -215,7 +215,7 @@ class BlockMatrix:
                 runs[offset] = np.broadcast_to(run, (size - abs(offset), dim, dim))
             else:
                 run.flags.writeable = False
-        return cls(size=size, dim=dim, structure=structure, diagonals=runs)
+        return cls._new(structure, size, dim, diagonals=runs)
 
     # -- basic queries ------------------------------------------------
 

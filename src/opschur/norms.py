@@ -17,7 +17,7 @@ import numpy as np
 
 from .blocks import BlockVector, singular_triples
 from .errors import NonConvergenceError
-from .kernels import modulation_mask, torus_grid
+from .kernels import _count, modulation_mask, torus_grid
 from .matrices import (
     DENSE,
     BlockMatrix,
@@ -56,6 +56,9 @@ _HANDOFF_STEPS = 32
 _SOLVES_PER_FACTORIZATION = 3
 _FACTORIZATION_CAP = 32
 _FINISH_ARRAYS = 6
+
+# Lanczos and the finish stop once |A* A v - theta v| <= this * theta.
+_RESIDUAL_TOLERANCE = 0.1 * POWER_TOLERANCE
 
 SUP_REFINEMENT_TOLERANCE = 1e-6
 SUP_GRID_CAP = 2**16
@@ -219,10 +222,11 @@ def _lanczos(forward, backward, n: int, steps: int) -> tuple[np.ndarray, int, bo
     rng = np.random.default_rng(0)
     q = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     q /= np.linalg.norm(q)
+    # Grown by doubling: numpy advises huge pages for arrays of 4 MiB or
+    # more, so a full-size basis costs 2 MiB resident from its first row.
     basis = np.empty((min(steps, 16), n), dtype=complex)
     alphas: list[float] = []
     betas: list[float] = []
-    residual_tol = 0.1 * POWER_TOLERANCE
     for k in range(steps):
         if k == len(basis):
             grown = np.empty((min(2 * k, steps), n), dtype=complex)
@@ -243,7 +247,7 @@ def _lanczos(forward, backward, n: int, steps: int) -> tuple[np.ndarray, int, bo
                 np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
             )
             theta, y = ritz_values[-1], ritz_vectors[:, -1]
-            converged = beta == 0.0 or beta * abs(y[-1]) <= residual_tol * theta
+            converged = beta == 0.0 or beta * abs(y[-1]) <= _RESIDUAL_TOLERANCE * theta
             if converged or last:
                 break
         betas.append(beta)
@@ -291,7 +295,6 @@ def _shift_invert(a: BlockMatrix, rows: int, forward, backward, v: np.ndarray,
         After ``_FACTORIZATION_CAP`` factorizations.
     """
     diag, upper = _gram_superblocks(a, rows)
-    residual_tol = 0.1 * POWER_TOLERANCE
 
     def measure(v):
         w = forward(v)
@@ -300,7 +303,7 @@ def _shift_invert(a: BlockMatrix, rows: int, forward, backward, v: np.ndarray,
 
     w, theta, residual = measure(v)
     factorizations = 0
-    while residual > residual_tol * theta:
+    while residual > _RESIDUAL_TOLERANCE * theta:
         increment = 2 * residual
         factors = None
         while factors is None:
@@ -316,7 +319,7 @@ def _shift_invert(a: BlockMatrix, rows: int, forward, backward, v: np.ndarray,
             v /= np.linalg.norm(v)
             iterations += 1
             w, theta, residual = measure(v)
-            if residual <= residual_tol * theta:
+            if residual <= _RESIDUAL_TOLERANCE * theta:
                 break
     return NormEstimate(
         value=float(np.linalg.norm(w)), kind="shift_invert",
@@ -328,44 +331,31 @@ def _gram_superblocks(a: BlockMatrix, rows: int) -> tuple[np.ndarray, np.ndarray
     """Band of ``A* A`` for a banded or toeplitz ``A``, in super-blocks.
 
     With stored offsets in ``[lo, hi]``, ``A* A`` is block banded with
-    half-width ``b = min(hi - lo, N - 1)``.  Grouping ``rows >= b``
-    block rows into one super-block makes it block tridiagonal: returns
-    the Hermitian diagonal super-blocks ``D_j`` and the upper neighbours
-    ``E_j`` (coupling ``j`` to ``j + 1``), each ``rows * d`` square, with
-    the rows past N padded by zeros.  Block diagonal ``m`` of ``A* A`` is
-    ``sum_p S[p, i]* S[p + m, i + m]`` over the column-aligned stack
-    ``S[p, j] = a(j - lo - p, j)``: one einsum per ``m``, from the
-    stored runs alone.  The stack keeps the column index ``j`` last, so
-    the einsum's inner loop runs over columns rather than over the d
-    entries of a block; the sums are the same, bit for bit, as with
-    ``j`` second.
+    half-width ``b = hi - lo``, so ``rows >= b`` block rows per
+    super-block make it block tridiagonal.  Returns the Hermitian
+    diagonal super-blocks ``D_j`` and the upper neighbours ``E_j``
+    (coupling ``j`` to ``j + 1``), each ``rows * d`` square, the rows
+    past N padded by zeros.  Slab ``S_j`` holds block columns ``j *
+    rows`` to ``(j + 1) * rows - 1`` of ``A`` on the ``rows + b`` block
+    rows they touch: ``D_j = S_j* S_j``, and ``E_j`` is the product of
+    ``S_j*`` and ``S_j+1`` over the ``b`` block rows the two share.
     """
     lo, hi = a.band_bounds()
     width, n, d = hi - lo, a.size, a.dim
     count = -(-n // rows)
-    stack = np.zeros((width + 1, d, d, count * rows + width), dtype=complex)
+    slabs = np.zeros((count, (rows + width) * rows, d, d), dtype=complex)
+    columns = np.zeros((count, rows, d, d), dtype=complex)
     for offset in a.diagonal_support():
-        stack[offset - lo, :, :, max(0, offset):n - max(0, -offset)] = (
-            a.diagonal_run(offset).transpose(1, 2, 0))
-    conj = stack.conj()
-    diag = np.zeros((count, rows, rows, d, d), dtype=complex)
-    upper = np.zeros_like(diag)
-    for m in range(min(width, n - 1) + 1):
-        gram = np.einsum(
-            "pbak,pbck->ack",
-            conj[: width + 1 - m, :, :, : count * rows],
-            stack[m:, :, :, m : m + count * rows],
-        ).transpose(2, 0, 1).reshape(count, rows, d, d)
-        inner = np.arange(rows - m)
-        diag[:, inner, inner + m] = gram[:, : rows - m]
-        diag[:, inner + m, inner] = gram[:, : rows - m].conj().transpose(0, 1, 3, 2)
-        crossing = np.arange(rows - m, rows)
-        upper[:, crossing, crossing + m - rows] = gram[:, rows - m:]
-    side = rows * d
-    return (
-        diag.transpose(0, 1, 3, 2, 4).reshape(count, side, side),
-        upper[:-1].transpose(0, 1, 3, 2, 4).reshape(count - 1, side, side),
-    )
+        # block (r, c) of a slab lies on diagonal c - r + hi of A
+        columns[:] = 0
+        columns.reshape(-1, d, d)[max(0, offset):n - max(0, -offset)] = (
+            a.diagonal_run(offset))
+        start = (hi - offset) * rows
+        slabs[:, start:start + rows * (rows + 1):rows + 1] = columns
+    slabs = slabs.reshape(count, rows + width, rows, d, d).transpose(0, 1, 3, 2, 4)
+    slabs = slabs.reshape(count, (rows + width) * d, rows * d)
+    adjoints = slabs.conj().transpose(0, 2, 1)
+    return adjoints @ slabs, adjoints[:-1, :, rows * d:] @ slabs[1:, : width * d]
 
 
 def _block_cholesky(diag: np.ndarray, upper: np.ndarray,
@@ -489,9 +479,11 @@ def multiplier_lower_bound(
     depend on evaluation order.  The certificate records the family
     and trial index of the best witness; the true multiplier norm is
     at least the returned value and is never claimed exactly.
+    ``trials`` must be an integer of at least 1.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    trials = _count(trials, "trials", 1)
     seeds = np.random.SeedSequence(seed).spawn(trials)
     best = -1.0
     best_witness = None

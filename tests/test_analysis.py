@@ -222,6 +222,12 @@ class TestSmoothingProfile:
         assert profile.threshold_index <= 1024
         assert profile.floor == min(profile.distances)
 
+    @pytest.mark.parametrize("order", [2.5, True])
+    def test_non_integer_orders_are_refused(self, order):
+        a = random_banded(16, 2, np.random.default_rng(7), (0, 1))
+        with pytest.raises(ValueError, match="profile order must be an integer"):
+            smoothing_profile(a, fejer_family(), (1, order))
+
     def test_dilation_stalls(self):
         profile = smoothing_profile(
             dilation_matrix(64, 2), fejer_family(), range(1, 33)
@@ -341,6 +347,12 @@ class TestCoefficientAction:
         assert float(estimate) == pytest.approx(
             np.linalg.norm(block, 2), abs=1e-9
         )
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_bound_needs_at_least_one_trial(self, trials):
+        zero = BlockMatrix.toeplitz({0: np.zeros((2, 2))}, 4)
+        with pytest.raises(ValueError, match=f"trials must be >= 1, got {trials}"):
+            coefficient_action_bound(zero, trials=trials)
 
 
 class TestAnalyticEval:

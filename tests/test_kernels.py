@@ -246,6 +246,16 @@ class TestAxiomChecks:
         with pytest.raises(ValueError, match=f"index n must be >= 1, got {n}"):
             poisson_family()(n)
 
+    @pytest.mark.parametrize("n", [2.5, True, "3"])
+    def test_poisson_family_refuses_non_integer_index(self, n):
+        with pytest.raises(ValueError, match="poisson family index n must be an integer"):
+            poisson_family()(n)
+
+    @pytest.mark.parametrize("order", [2.7, True])
+    def test_non_integer_orders_are_refused(self, order):
+        with pytest.raises(ValueError, match="kernel order must be an integer"):
+            kernel_axiom_check(fejer_family(), (1, order))
+
     def test_family_calls_produce_symbols(self):
         assert fejer_family()(3).degree == 3
         assert poisson_family()(2).coeff(1) == pytest.approx(0.5)

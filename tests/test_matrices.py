@@ -131,13 +131,28 @@ class TestConstruction:
             {"structure": BANDED, "size": 0, "diagonals": {0: np.zeros((1, 2, 2))}},
             {"structure": TOEPLITZ, "dim": 0, "diagonals": {0: np.zeros((1, 0, 0))}},
             {"structure": "sparse", "diagonals": {0: np.zeros((1, 2, 2))}},
+            {"structure": BANDED, "size": 4, "diagonals": {7: np.zeros((1, 2, 2))}},
+            {"structure": BANDED, "diagonals": {0: "x"}},
+            {"structure": BANDED, "diagonals": {0.5: np.zeros((3, 2, 2))}},
         ],
         ids=["dense-without-array", "dense-with-diagonals", "toeplitz-with-array",
-             "banded-empty-map", "zero-size", "zero-dim", "unknown-tag"],
+             "banded-empty-map", "zero-size", "zero-dim", "unknown-tag",
+             "offset-outside-window", "string-run", "fractional-offset"],
     )
     def test_raw_constructor_rejects_inconsistent_storage(self, storage):
-        with pytest.raises(StructureError):
+        with pytest.raises(StructureError, match="use BlockMatrix.dense"):
             BlockMatrix(**{"size": 3, "dim": 2, **storage})
+
+    @pytest.mark.parametrize("size", [4.5, 4.0, True, "4", None])
+    @pytest.mark.parametrize(
+        "build",
+        [lambda size: BlockMatrix.toeplitz({0: np.eye(2)}, size),
+         lambda size: BlockMatrix.banded({0: np.zeros((4, 2, 2))}, size)],
+        ids=["toeplitz", "banded"],
+    )
+    def test_non_integer_size_is_refused(self, build, size):
+        with pytest.raises(StructureError, match="size .* is not an integer"):
+            build(size)
 
 
 class TestFlatten:

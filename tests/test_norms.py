@@ -370,6 +370,11 @@ class TestMultiplierLowerBound:
         coeffs = {l: weights.coeff(l) * block for l in weights.support()}
         return BlockMatrix.toeplitz(coeffs, size), np.linalg.norm(block, 2)
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_needs_at_least_one_trial(self, trials):
+        with pytest.raises(ValueError, match=f"trials must be >= 1, got {trials}"):
+            multiplier_lower_bound(BlockMatrix.identity(4, 2), trials=trials)
+
     def test_attains_block_norm_for_smoothed_block(self):
         rng = np.random.default_rng(9)
         a, block_norm = self._smoothed_block(rng)
