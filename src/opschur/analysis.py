@@ -28,8 +28,8 @@ from .errors import (
     StructureError,
 )
 from .kernels import ScalarSymbol, SummabilityKernel, _TrigPolynomial, _count, smooth
-from .matrices import TOEPLITZ, BlockMatrix, scale_diagonals
-from .norms import NormEstimate, op_norm, symbol_sup_norm
+from .matrices import TOEPLITZ, BlockMatrix, _gaussian, scale_diagonals
+from .norms import NormEstimate, _sampled_lower_bound, op_norm, symbol_sup_norm
 
 __all__ = [
     "OperatorSymbol",
@@ -50,6 +50,7 @@ __all__ = [
 
 RELATIVE_PROFILE_TOLERANCE = 1e-3
 BOUNDARY_ANGLES = 8
+POLYNOMIAL_DEGREE = 8  # largest degree of the random search polynomials
 
 
 class OperatorSymbol(_TrigPolynomial):
@@ -225,7 +226,6 @@ def coefficient_action(a: BlockMatrix, p: VectorPolynomial) -> np.ndarray:
 def coefficient_action_bound(
     a: BlockMatrix,
     trials: int = 200,
-    max_degree: int = 8,
     seed: int = 0,
 ) -> NormEstimate:
     """Sampled lower bound for the coefficient-action operator norm.
@@ -233,76 +233,55 @@ def coefficient_action_bound(
     Maximizes ``|action(a, p)| / sup_t |p(t)|`` over four search
     families: deterministic single-frequency polynomials aligned with
     the top singular vector of each stored coefficient, random
-    polynomials of bounded degree, Fejer-weighted polynomials with a
-    random shift, and the rank-one reduction that feeds a random frame
-    vector through rank-one operator coefficients.  Sampling only ever
-    certifies a lower bound.  ``trials`` must be an integer of at least 1.
+    polynomials of degree at most ``POLYNOMIAL_DEGREE`` (and below N),
+    Fejer-weighted polynomials with a random shift, and the rank-one
+    reduction that feeds a random frame vector through rank-one operator
+    coefficients.  Sampling only ever certifies a lower bound.
+    ``trials`` must be an integer of at least 1.
     """
     _require_toeplitz(a, "coefficient action")
-    trials = _count(trials, "trials", 1)
-    dim = a.dim
-    window = min(max_degree, a.size - 1)
-    best = -1.0
-    best_witness = None
-    total = 0
+    seeds = np.random.SeedSequence(seed).spawn(_count(trials, "trials", 1))
+    window = min(POLYNOMIAL_DEGREE, a.size - 1)
 
-    def consider(p: VectorPolynomial, family: str, index: int) -> None:
-        nonlocal best, best_witness, total
-        total += 1
-        denominator = p.sup_norm()
-        if denominator < 1e-14:
-            return
-        ratio = float(np.linalg.norm(coefficient_action(a, p))) / denominator
-        if ratio > best:
-            best = ratio
-            best_witness = {"family": family, "trial": index, "ratio": ratio}
+    def polynomials():
+        for index, offset in enumerate(a.diagonal_support()):
+            block = a.diagonal_run(offset)[0]
+            if np.any(block):
+                _, _, vh = singular_triples(block)
+                p = VectorPolynomial({offset: vh[0].conj()})
+                yield "single_frequency", index, p
+        for index, trial_seed in enumerate(seeds):
+            rng = np.random.default_rng(trial_seed)
+            gauss = _random_parts(rng, a.dim, window)
+            style = index % 3
+            if style == 0:
+                p = VectorPolynomial(gauss)
+            elif style == 1:
+                shift = float(rng.uniform(-np.pi, np.pi))
+                offsets = list(gauss)
+                weights = ScalarSymbol.fejer(offsets[-1]).coeff_array(np.array(offsets))
+                p = VectorPolynomial({l: w * np.exp(-1j * l * shift) * gauss[0]
+                                      for l, w in zip(offsets, weights)})
+            else:
+                frame = gauss[0] / np.linalg.norm(gauss[0])
+                p = VectorPolynomial(
+                    {l: OperatorBlock.outer(frame, part).apply(frame)
+                     for l, part in gauss.items()}
+                )
+            yield ("random", "fejer_shift", "rank_one")[style], index, p
 
-    for index, offset in enumerate(a.diagonal_support()):
-        block = a.diagonal_run(offset)[0]
-        if not np.any(block):
-            continue
-        _, _, vh = singular_triples(block)
-        consider(
-            VectorPolynomial({offset: vh[0].conj()}), "single_frequency", index
-        )
-
-    seeds = np.random.SeedSequence(seed).spawn(trials)
-    for index in range(trials):
-        rng = np.random.default_rng(seeds[index])
-        style = index % 3
-        degree = int(rng.integers(0, window + 1))
-        offsets = range(-degree, degree + 1)
-        gauss = {
-            l: (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
-            / np.sqrt(2)
-            for l in offsets
-        }
-        if style == 0:
-            p = VectorPolynomial(gauss)
-        elif style == 1:
-            shift = float(rng.uniform(-np.pi, np.pi))
-            x = gauss[0]
-            weights = ScalarSymbol.fejer(degree).coeff_array(np.array(list(offsets)))
-            p = VectorPolynomial(
-                {
-                    l: w * np.exp(-1j * l * shift) * x
-                    for l, w in zip(offsets, weights)
-                }
-            )
-        else:
-            frame = gauss[0] / np.linalg.norm(gauss[0])
-            p = VectorPolynomial(
-                {
-                    l: OperatorBlock.outer(frame, part).apply(frame)
-                    for l, part in gauss.items()
-                }
-            )
-        consider(p, ("random", "fejer_shift", "rank_one")[style], index)
-
-    return NormEstimate(
-        value=best, kind="sampled_lower_bound", certificate=best_witness,
-        samples=total,
+    return _sampled_lower_bound(
+        (family, index, p.sup_norm(),
+         lambda: float(np.linalg.norm(coefficient_action(a, p))))
+        for family, index, p in polynomials()
     )
+
+
+def _random_parts(rng: np.random.Generator, dim: int, max_degree: int) -> dict:
+    """Complex Gaussian parts in ``C^dim`` on offsets ``-n .. n``, for a
+    degree ``n`` drawn uniformly from ``0 .. max_degree``."""
+    degree = int(rng.integers(0, max_degree + 1))
+    return {l: _gaussian(rng, dim) for l in range(-degree, degree + 1)}
 
 
 def _analytic_weights(a: BlockMatrix, z: complex):

@@ -184,6 +184,14 @@ class BlockVector:
         return f"BlockVector(size={self.size}, d={self.dim})"
 
 
+def _svd(m: np.ndarray, compute_uv: bool, what: str):
+    m = np.atleast_2d(np.asarray(m, dtype=complex))
+    try:
+        return np.linalg.svd(m, compute_uv=compute_uv)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergenceError(30 * max(m.shape), what) from exc
+
+
 def singular_values(m: np.ndarray) -> np.ndarray:
     """Singular values of a complex matrix, descending.
 
@@ -196,11 +204,7 @@ def singular_values(m: np.ndarray) -> np.ndarray:
     NonConvergenceError
         If the underlying iteration fails to converge.
     """
-    m = np.atleast_2d(np.asarray(m, dtype=complex))
-    try:
-        return np.linalg.svd(m, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergenceError(30 * max(m.shape), "singular values") from exc
+    return _svd(m, False, "singular values")
 
 
 def singular_triples(m: np.ndarray):
@@ -209,8 +213,4 @@ def singular_triples(m: np.ndarray):
     Returns ``(u, s, vh)``.  Column ``u[:, i]`` and row ``vh[i]`` are the
     left and (conjugated) right singular vectors for ``s[i]``.
     """
-    m = np.atleast_2d(np.asarray(m, dtype=complex))
-    try:
-        return np.linalg.svd(m, compute_uv=True)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergenceError(30 * max(m.shape), "singular triples") from exc
+    return _svd(m, True, "singular triples")

@@ -330,12 +330,12 @@ def phi_bounds(config: ExperimentConfig) -> ExperimentResult:
     coeffs = {l: weights.coeff(l) * block for l in weights.support()}
     a = BlockMatrix.toeplitz(coeffs, size)
 
-    estimate = analysis.coefficient_action_bound(a, trials=120, max_degree=8,
-                                                 seed=config.seed)
+    estimate = analysis.coefficient_action_bound(a, trials=120, seed=config.seed)
     rows = []
     worst_ratio = 0.0
     for trial, trial_rng in enumerate(_rngs(config, 100)):
-        p = _random_polynomial(trial_rng, config.dim, max_degree=8)
+        p = VectorPolynomial(analysis._random_parts(
+            trial_rng, config.dim, analysis.POLYNOMIAL_DEGREE))
         action = float(np.linalg.norm(analysis.coefficient_action(a, p)))
         sup = float(p.sup_norm())
         rows.append((trial, action, sup, action / sup))
@@ -367,16 +367,6 @@ def phi_bounds(config: ExperimentConfig) -> ExperimentResult:
                tuple(rows)), comparison),
         assertions,
     )
-
-
-def _random_polynomial(rng: np.random.Generator, dim: int,
-                       max_degree: int) -> VectorPolynomial:
-    degree = int(rng.integers(0, max_degree + 1))
-    parts = {}
-    for l in range(-degree, degree + 1):
-        parts[l] = (rng.standard_normal(dim)
-                    + 1j * rng.standard_normal(dim)) / math.sqrt(2.0)
-    return VectorPolynomial(parts)
 
 
 HINF_RADII = (0.9, 0.99, 0.999, 0.9995, 0.9999, 0.99995)
@@ -451,6 +441,4 @@ def experiment_names() -> tuple[str, ...]:
 
 
 def run_experiment(name: str, config: ExperimentConfig) -> ExperimentResult:
-    if name not in REGISTRY:
-        raise KeyError(name)
     return REGISTRY[name](config)

@@ -15,7 +15,6 @@ trigonometric polynomials of degree below half the grid size exactly.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -52,10 +51,8 @@ def _count(n, what: str, least: int = 0) -> int:
     """An order, index or count ``what`` as an int of at least ``least``;
     a non-integer, bools included, is refused, never truncated."""
     try:
-        if isinstance(n, bool):
-            raise TypeError
-        n = operator.index(n)
-    except TypeError:
+        n = _integer(n, what)
+    except StructureError:
         raise ValueError(f"{what} must be an integer, got {n!r}") from None
     if n < least:
         raise ValueError(f"{what} must be >= {least}, got {n}")
@@ -232,8 +229,7 @@ def convolve(a: ScalarSymbol, b: ScalarSymbol) -> ScalarSymbol:
 
 def torus_grid(points: int = TORUS_GRID_POINTS) -> np.ndarray:
     """Uniform grid ``-pi + 2 pi q / points`` for ``q = 0 .. points - 1``."""
-    if points < 2:
-        raise ValueError(f"grid needs at least 2 points, got {points}")
+    points = _count(points, "grid points", 2)
     return -np.pi + 2 * np.pi * np.arange(points) / points
 
 

@@ -8,10 +8,12 @@ throughout.
 
 Storage comes in two forms.  ``dense`` keeps the full (N, N, d, d)
 array; ``toeplitz`` and ``banded`` keep a run of blocks per stored
-offset, of shape (1, d, d) for toeplitz (the block is constant along
-its diagonal) and (N - |l|, d, d) for banded, so every diagonal-wise
-operation serves both with one code path.  Only the symbol bridge and
-serialization read the toeplitz tag as more than a storage choice.
+offset: (N - |l|, d, d), or (1, d, d) when the block is constant along
+its diagonal, which every toeplitz diagonal is and a banded one may be.
+Every reader broadcasts a run of one block, so every diagonal-wise
+operation serves both storages with one code path.  Only the symbol
+bridge and serialization read the toeplitz tag as more than a storage
+choice.
 Structure tags are advisory, for storage and speed only: semantic
 equality is entry-wise and is tested with :func:`allclose`, which
 erases structure before comparing.  Whether a matrix is upper
@@ -192,7 +194,7 @@ class BlockMatrix:
 
     @classmethod
     def identity(cls, size: int, dim: int) -> "BlockMatrix":
-        return cls.toeplitz({0: np.eye(dim)}, size)
+        return cls.toeplitz({0: np.eye(_integer(dim, "dim"))}, size)
 
     @classmethod
     def _from_dense(cls, blocks: np.ndarray) -> "BlockMatrix":
@@ -204,17 +206,13 @@ class BlockMatrix:
     def _from_runs(cls, structure: str, size: int, dim: int, runs: dict) -> "BlockMatrix":
         """Structured matrix owning the fresh ``offset -> run`` arrays ``runs``.
 
-        A banded result broadcasts a run shorter than its diagonal (one
-        computed from toeplitz operands only) as a read-only view; with no
-        runs the zero main diagonal is stored.
+        A run of one block, in either storage, is constant along its
+        diagonal; with no runs the zero main diagonal is stored.
         """
         if not runs:
             runs = {0: np.zeros((1, dim, dim), dtype=complex)}
-        for offset, run in runs.items():
-            if structure == BANDED and len(run) < size - abs(offset):
-                runs[offset] = np.broadcast_to(run, (size - abs(offset), dim, dim))
-            else:
-                run.flags.writeable = False
+        for run in runs.values():
+            run.flags.writeable = False
         return cls._new(structure, size, dim, diagonals=runs)
 
     # -- basic queries ------------------------------------------------
@@ -282,8 +280,9 @@ class BlockMatrix:
         return run
 
     def _run(self, offset: int) -> np.ndarray:
-        """Stored run of a diagonal: length 1 for toeplitz, a (1, d, d)
-        zero when the diagonal is not stored, the full diagonal for dense."""
+        """Stored run of a diagonal: length 1 when constant along it, a
+        (1, d, d) zero when the diagonal is not stored, the full diagonal
+        for dense."""
         if self._structure == DENSE:
             return self._dense.diagonal(offset).transpose(2, 0, 1)
         run = self._diagonals.get(offset)
@@ -390,8 +389,8 @@ def apply(a: BlockMatrix, x: BlockVector) -> BlockVector:
 
     Structured storage is applied diagonal by diagonal, so banded and
     toeplitz matrices never materialize their dense form here: a
-    constant (toeplitz) diagonal is one BLAS product with its block, a
-    banded run one einsum.  A dense matrix is one product with its
+    constant diagonal (a run of one block) is one BLAS product with it,
+    any other run one einsum.  A dense matrix is one product with its
     flattening.
     """
     if x.size != a.size or x.dim != a.dim:
@@ -455,6 +454,7 @@ def tensor_scalar(scalar_matrix: np.ndarray, t) -> BlockMatrix:
 
 def truncate(a: BlockMatrix, size: int) -> BlockMatrix:
     """Leading principal ``size`` x ``size`` submatrix, structure kept."""
+    size = _integer(size, "truncation size")
     if not 1 <= size <= a.size:
         raise ValueError(f"truncation size {size} outside [1, {a.size}]")
     if size == a.size:
@@ -523,9 +523,7 @@ def random_toeplitz(
     Each stored block is scaled by ``decay ** |offset|``.
     """
     rng = _as_rng(rng)
-    coeffs = {
-        int(l): decay ** abs(l) * _gaussian(rng, (dim, dim)) for l in offsets
-    }
+    coeffs = {l: decay ** abs(l) * _gaussian(rng, (dim, dim)) for l in offsets}
     return BlockMatrix.toeplitz(coeffs, size)
 
 
@@ -538,7 +536,7 @@ def random_banded(
     concentrates mass near the main diagonal.
     """
     rng = _as_rng(rng)
-    lo, hi = bounds
+    lo, hi = (_integer(bound, "band bound") for bound in bounds)
     if lo > hi:
         raise ValueError(f"empty band {bounds}")
     diags = {

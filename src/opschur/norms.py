@@ -21,6 +21,7 @@ from .kernels import _count, modulation_mask, torus_grid
 from .matrices import (
     DENSE,
     BlockMatrix,
+    _gaussian,
     adjoint,
     apply,
     random_dense,
@@ -483,26 +484,40 @@ def multiplier_lower_bound(
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    trials = _count(trials, "trials", 1)
-    seeds = np.random.SeedSequence(seed).spawn(trials)
-    best = -1.0
-    best_witness = None
-    for index in range(trials):
-        family = _TRIAL_FAMILIES[index % len(_TRIAL_FAMILIES)]
-        rng = np.random.default_rng(seeds[index])
-        b = _trial_matrix(family, a.size, a.dim, rng)
-        denominator = op_norm(b).value
+    seeds = np.random.SeedSequence(seed).spawn(_count(trials, "trials", 1))
+
+    def ratios():
+        for index, trial_seed in enumerate(seeds):
+            family = _TRIAL_FAMILIES[index % len(_TRIAL_FAMILIES)]
+            b = _trial_matrix(family, a.size, a.dim, np.random.default_rng(trial_seed))
+            pair = (a, b) if side == "left" else (b, a)
+            yield (family, index, op_norm(b).value,
+                   lambda: op_norm(schur_product(*pair)).value)
+
+    return _sampled_lower_bound(ratios())
+
+
+def _sampled_lower_bound(ratios) -> NormEstimate:
+    """Largest ``numerator() / denominator`` over the sampled trials.
+
+    ``ratios`` yields ``(family, trial, denominator, numerator)`` with
+    ``numerator`` a callable, called only for a denominator of at least
+    ``1e-14`` and before the next trial is drawn (so it may close over
+    the generator's loop variables); smaller ones are skipped, and the
+    value is ``-1.0`` when every trial is.  Every yielded trial counts as a sample.  The
+    certificate is the ``{family, trial, ratio}`` of the first trial
+    that reaches the maximum.
+    """
+    best, witness, samples = -1.0, None, 0
+    for family, trial, denominator, numerator in ratios:
+        samples += 1
         if denominator < 1e-14:
             continue
-        product = schur_product(a, b) if side == "left" else schur_product(b, a)
-        ratio = op_norm(product).value / denominator
+        ratio = numerator() / denominator
         if ratio > best:
-            best = ratio
-            best_witness = {"family": family, "trial": index, "ratio": ratio}
-    return NormEstimate(
-        value=best, kind="sampled_lower_bound", certificate=best_witness,
-        samples=trials,
-    )
+            best, witness = ratio, {"family": family, "trial": trial, "ratio": ratio}
+    return NormEstimate(value=best, kind="sampled_lower_bound", certificate=witness,
+                        samples=samples)
 
 
 def _trial_matrix(family: str, size: int, dim: int, rng) -> BlockMatrix:
@@ -517,6 +532,4 @@ def _trial_matrix(family: str, size: int, dim: int, rng) -> BlockMatrix:
     if family == "modulation":
         angle = float(rng.uniform(-np.pi, np.pi))
         return modulation_mask(angle, size, dim)
-    runs = (rng.standard_normal((size, dim, dim))
-            + 1j * rng.standard_normal((size, dim, dim))) / np.sqrt(2)
-    return BlockMatrix.banded({0: runs}, size)
+    return BlockMatrix.banded({0: _gaussian(rng, (size, dim, dim))}, size)

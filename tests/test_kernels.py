@@ -179,6 +179,15 @@ class TestTrigPolynomial:
 
 
 class TestQuadrature:
+    @pytest.mark.parametrize(
+        "points, message",
+        [(64.5, "an integer, got 64.5"), (True, "an integer, got True"),
+         ("64", "an integer, got '64'"), (1, ">= 2, got 1")],
+    )
+    def test_torus_grid_refuses_bad_point_counts(self, points, message):
+        with pytest.raises(ValueError, match=f"grid points must be {message}"):
+            torus_grid(points)
+
     def test_mean_of_trig_polynomial_is_zero_coefficient(self):
         s = ScalarSymbol.trig_polynomial({-2: 5.0, 0: 1.5j, 1: -2.0})
         t = torus_grid(64)

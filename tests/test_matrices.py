@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -33,6 +34,7 @@ from opschur.matrices import (
     tensor_scalar,
     truncate,
 )
+from opschur.serialize import dumps_canonical, matrix_from_payload, matrix_to_payload
 
 from oracles import (
     apply_reference,
@@ -83,8 +85,9 @@ class TestConstruction:
         [lambda: BlockMatrix.toeplitz({0.7: np.eye(2)}, 4),
          lambda: BlockMatrix.banded({-0.9: np.zeros((4, 2, 2))}, 4),
          lambda: BlockMatrix.toeplitz({"1": np.eye(2)}, 4),
-         lambda: BlockMatrix.toeplitz({True: np.eye(2)}, 4)],
-        ids=["toeplitz", "banded", "string", "True"],
+         lambda: BlockMatrix.toeplitz({True: np.eye(2)}, 4),
+         lambda: random_toeplitz(4, 2, 0, [0.5, 0.7])],
+        ids=["toeplitz", "banded", "string", "True", "random_toeplitz"],
     )
     def test_non_integer_offsets_are_refused(self, build):
         with pytest.raises(StructureError, match="offset .* is not an integer"):
@@ -153,6 +156,20 @@ class TestConstruction:
     def test_non_integer_size_is_refused(self, build, size):
         with pytest.raises(StructureError, match="size .* is not an integer"):
             build(size)
+
+    @pytest.mark.parametrize(
+        "build, what",
+        [(lambda: BlockMatrix.identity(4, 2.5), "dim 2.5"),
+         (lambda: BlockMatrix.identity(4, "2"), "dim '2'"),
+         (lambda: truncate(BlockMatrix.identity(4, 2), True), "truncation size True"),
+         (lambda: truncate(BlockMatrix.identity(4, 2), 2.5), "truncation size 2.5"),
+         (lambda: random_banded(4, 2, 0, (0.5, 1)), "band bound 0.5")],
+        ids=["identity-float-dim", "identity-string-dim", "truncate-True",
+             "truncate-float", "banded-float-bound"],
+    )
+    def test_non_integer_dim_truncation_and_bounds_are_refused(self, build, what):
+        with pytest.raises(StructureError, match=f"^{what} is not an integer$"):
+            build()
 
 
 class TestFlatten:
@@ -347,6 +364,43 @@ class TestRankOneAndTensor:
             tensor_scalar(scalar, block).flatten(), np.kron(scalar, block),
             atol=0,
         )
+
+
+class TestShortBandedRuns:
+    """A banded sum keeps a run of one block on each diagonal that only
+    its toeplitz operand stores, and every reader broadcasts it."""
+
+    def _sum(self):
+        rng = np.random.default_rng(31)
+        t = random_toeplitz(6, 2, rng, range(-3, 3))
+        b = random_banded(6, 2, rng, (0, 1))
+        return t + b, t.blocks() + b.blocks()
+
+    def test_stores_runs_of_one_block(self):
+        s, dense = self._sum()
+        assert s.structure == BANDED
+        assert [len(s._run(l)) for l in s.diagonal_support()] == [1, 1, 1, 6, 5, 1]
+        np.testing.assert_array_equal(s.blocks(), dense)
+
+    def test_readers_match_the_dense_reference(self):
+        s, dense = self._sum()
+        x = random_vector(6, 2, np.random.default_rng(32))
+        np.testing.assert_allclose(apply(s, x).parts, apply_reference(dense, x.parts),
+                                   atol=1e-13)
+        np.testing.assert_array_equal(adjoint(s).blocks(),
+                                      dense.conj().transpose(1, 0, 3, 2))
+        np.testing.assert_array_equal(truncate(s, 4).blocks(), dense[:4, :4])
+        index = np.arange(6)
+        want = [max(spectral_norm(dense[k, k + l]) for k in index if 0 <= k + l < 6)
+                for l in s.diagonal_support()]
+        np.testing.assert_allclose(s.diagonal_norms(), want, rtol=1e-14)
+
+    def test_payload_round_trip_keeps_the_bytes(self):
+        s, dense = self._sum()
+        text = dumps_canonical(matrix_to_payload(s))
+        back = matrix_from_payload(json.loads(text))
+        np.testing.assert_array_equal(back.blocks(), dense)
+        assert dumps_canonical(matrix_to_payload(back)) == text
 
 
 class TestTruncate:

@@ -401,3 +401,23 @@ class TestMultiplierLowerBound:
     def test_rejects_unknown_side(self):
         with pytest.raises(ValueError):
             multiplier_lower_bound(BlockMatrix.identity(4, 2), side="middle")
+
+
+class TestSampledLowerBound:
+    def _never(self):
+        raise AssertionError("numerator of a skipped trial")
+
+    def test_first_trial_at_the_maximum_is_the_witness(self):
+        estimate = norms._sampled_lower_bound([
+            ("a", 0, 2.0, lambda: 1.0),
+            ("b", 1, 1e-15, self._never),
+            ("c", 2, 1.0, lambda: 3.0),
+            ("d", 3, 2.0, lambda: 6.0),
+        ])
+        assert (estimate.value, estimate.kind, estimate.samples) == (
+            3.0, "sampled_lower_bound", 4)
+        assert estimate.certificate == {"family": "c", "trial": 2, "ratio": 3.0}
+
+    def test_no_counted_trial_reports_minus_one(self):
+        estimate = norms._sampled_lower_bound([("a", 0, 0.0, self._never)])
+        assert (estimate.value, estimate.certificate, estimate.samples) == (-1.0, None, 1)
