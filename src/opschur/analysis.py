@@ -28,7 +28,7 @@ from .errors import (
     StructureError,
 )
 from .kernels import ScalarSymbol, SummabilityKernel, _TrigPolynomial, _count, smooth
-from .matrices import TOEPLITZ, BlockMatrix, _gaussian, scale_diagonals
+from .matrices import TOEPLITZ, BlockMatrix, _gaussian, _integer, scale_diagonals
 from .norms import NormEstimate, _sampled_lower_bound, op_norm, symbol_sup_norm
 
 __all__ = [
@@ -165,6 +165,7 @@ def dilation_matrix(size: int, dim: int) -> BlockMatrix:
     any two distinct angles, so its smoothing profiles stall.  Row and
     column patterns are disjoint, hence the operator norm is 1.
     """
+    size, dim = _integer(size, "size"), _integer(dim, "dim")
     if size < 2:
         raise ValueError(f"dilation matrix needs size >= 2, got {size}")
     blocks = np.zeros((size, size, dim, dim), dtype=complex)

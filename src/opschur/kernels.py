@@ -245,6 +245,7 @@ def quadrature_mean(values: np.ndarray) -> complex:
 
 def _all_ones(size: int, dim: int) -> BlockMatrix:
     """Toeplitz matrix with ``Id`` on every diagonal of the window."""
+    size, dim = _integer(size, "size"), _integer(dim, "dim")
     eye = np.eye(dim)
     return BlockMatrix.toeplitz({l: eye for l in range(-(size - 1), size)}, size)
 

@@ -512,6 +512,7 @@ def _gaussian(rng: np.random.Generator, shape) -> np.ndarray:
 
 def random_dense(size: int, dim: int, rng) -> BlockMatrix:
     """Dense matrix with independent complex Gaussian entries."""
+    size, dim = _integer(size, "size"), _integer(dim, "dim")
     return BlockMatrix.dense(_gaussian(_as_rng(rng), (size, size, dim, dim)))
 
 
@@ -522,7 +523,7 @@ def random_toeplitz(
 
     Each stored block is scaled by ``decay ** |offset|``.
     """
-    rng = _as_rng(rng)
+    rng, dim = _as_rng(rng), _integer(dim, "dim")
     coeffs = {l: decay ** abs(l) * _gaussian(rng, (dim, dim)) for l in offsets}
     return BlockMatrix.toeplitz(coeffs, size)
 
@@ -535,7 +536,7 @@ def random_banded(
     Each diagonal is scaled by ``decay ** |offset|``; ``decay < 1``
     concentrates mass near the main diagonal.
     """
-    rng = _as_rng(rng)
+    rng, size, dim = _as_rng(rng), _integer(size, "size"), _integer(dim, "dim")
     lo, hi = (_integer(bound, "band bound") for bound in bounds)
     if lo > hi:
         raise ValueError(f"empty band {bounds}")
@@ -547,4 +548,5 @@ def random_banded(
 
 
 def random_vector(size: int, dim: int, rng) -> BlockVector:
+    size, dim = _integer(size, "size"), _integer(dim, "dim")
     return BlockVector(_gaussian(_as_rng(rng), (size, dim)))

@@ -11,6 +11,7 @@ witnesses the value.  Multiplier norms are never reported as exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -48,11 +49,14 @@ POWER_TOLERANCE = 1e-8
 POWER_ITERATION_CAP = 10**4
 
 # Lanczos tests its first _HANDOFF_STEPS steps one by one, and banded and
-# toeplitz matrices get no more before the shift-and-invert finish.  Three
-# solves per factorization and super-blocks of 2b block rows (at least 4,
-# for narrow bands) measured fastest on smooth-symbol toeplitz matrices.
-# The finish holds about _FINISH_ARRAYS arrays of super-blocks at once: the
-# band of A* A, its upper neighbours and the Cholesky factors.
+# toeplitz matrices get no more before the shift-and-invert finish.  On
+# smooth-symbol toeplitz matrices (N = 4096, d = 2, half-widths b = 8..21;
+# 2 vCPUs, 1 BLAS thread, best of 5) super-blocks of b block rows took
+# 0.22-0.49 s against 0.40-0.90 s for 2b rows; 2b was faster only for
+# b <= 4 (0.23 against 0.35 s at b = 4), where the 4-row floor applies.
+# Two, three and four solves per factorization were within noise; three
+# are kept.  The finish holds about _FINISH_ARRAYS arrays of super-blocks
+# at once: the band of A* A, its upper neighbours and the Cholesky factors.
 _HANDOFF_STEPS = 32
 _SOLVES_PER_FACTORIZATION = 3
 _FACTORIZATION_CAP = 32
@@ -139,23 +143,26 @@ def op_norm(a: BlockMatrix) -> NormEstimate:
 
     Uses the exact decomposition of the flattened matrix when its side
     is at most ``EXACT_SVD_LIMIT``.  Beyond that, Lanczos on ``A* A``
-    from a seed-0 start vector (kind ``lanczos``): banded and toeplitz
-    matrices are driven by :func:`apply` on the matrix and its adjoint
-    and never densified, dense ones by products with their flattening.
-    The value is ``|A v|`` for the unit certificate ``v``, once the
-    residual ``|A* A v - theta v|`` is at most ``0.1 * POWER_TOLERANCE
-    * theta`` for ``theta = |A v|^2``.
+    from a seed-0 start vector (kind ``lanczos``).  A banded or toeplitz
+    matrix whose band :func:`_superblock_rows` admits is never
+    densified: the band of ``A* A`` is built once, as block-tridiagonal
+    super-blocks, and every product with ``A* A`` is three batched
+    products with them.  Dense matrices use their flattening, and wider
+    bands :func:`apply` on the matrix and its adjoint.  The value is
+    ``|A v|`` for the unit certificate ``v``, from one final product
+    with ``A`` (:func:`apply`, or the flattening of a dense matrix),
+    once the residual ``|A* A v - theta v|`` is at most ``0.1 *
+    POWER_TOLERANCE * theta`` for ``theta = v* A* A v``.
 
-    A banded or toeplitz matrix whose band is narrow enough to factor
-    (see :func:`_superblock_rows`) gets 32 Krylov steps.  If the rule
-    has not held by then, the top Ritz vector is finished by inverse
-    iteration on ``s I - A* A`` (kind ``shift_invert``), factored as a
-    block-tridiagonal Cholesky of the band of ``A* A``.  A factorization
-    that completes proves ``|A|^2 < s``, so the iteration converges to
-    the top singular vector; the value and certificate keep the same
-    meaning and rule.  Dense matrices and wider bands get
-    ``min(flat_size, EXACT_SVD_LIMIT)`` steps.  Whatever does not
-    converge takes the exact path up to side ``8 * EXACT_SVD_LIMIT``.
+    An admitted band gets 32 Krylov steps.  If the rule has not held by
+    then, the top Ritz vector is finished by inverse iteration on ``s I
+    - A* A`` (kind ``shift_invert``), factored as a block-tridiagonal
+    Cholesky of the same super-blocks.  A factorization that completes
+    proves ``|A|^2 < s``, so the iteration converges to the top singular
+    vector; the value and certificate keep the same meaning and rule.
+    Dense matrices and wider bands get ``min(flat_size,
+    EXACT_SVD_LIMIT)`` steps.  Whatever does not converge takes the
+    exact path up to side ``8 * EXACT_SVD_LIMIT``.
 
     Raises
     ------
@@ -165,60 +172,69 @@ def op_norm(a: BlockMatrix) -> NormEstimate:
     """
     if a.flat_size <= EXACT_SVD_LIMIT:
         return _exact_estimate(a, a.flatten())
-    steps = min(a.flat_size, EXACT_SVD_LIMIT)
-    rows = None
-    if a.structure == DENSE:
-        flat = a.flatten()
-
-        def forward(x):
-            return flat @ x
-
-        def backward(y):
-            return (y.conj() @ flat).conj()
-    else:
-        a_star = adjoint(a)
-
-        def forward(x):
-            return apply(a, BlockVector.from_flat(x, a.dim)).flatten()
-
-        def backward(y):
-            return apply(a_star, BlockVector.from_flat(y, a.dim)).flatten()
-
-        rows = _superblock_rows(a)
-        if rows is not None:
-            steps = _HANDOFF_STEPS
-
-    vector, iterations, converged = _lanczos(forward, backward, a.flat_size, steps)
-    if converged:
-        return NormEstimate(
-            value=float(np.linalg.norm(forward(vector))), kind="lanczos",
-            certificate=BlockVector.from_flat(vector, a.dim), iterations=iterations,
-        )
-    if rows is not None:
+    forward, gram, band = _products(a)
+    steps = min(a.flat_size, EXACT_SVD_LIMIT) if band is None else _HANDOFF_STEPS
+    vector, iterations, converged = _lanczos(gram, a.flat_size, steps)
+    kind = "lanczos"
+    if not converged and band is not None:
         try:
-            return _shift_invert(a, rows, forward, backward, vector, iterations)
+            vector, iterations = _shift_invert(band, gram, vector, iterations)
+            kind, converged = "shift_invert", True
         except NonConvergenceError:
             if a.flat_size > 8 * EXACT_SVD_LIMIT:
                 raise
-    elif a.flat_size > 8 * EXACT_SVD_LIMIT:
-        raise NonConvergenceError(steps, "lanczos")
-    return _exact_estimate(a, a.flatten())
+    if not converged:
+        if a.flat_size > 8 * EXACT_SVD_LIMIT:
+            raise NonConvergenceError(steps, "lanczos")
+        return _exact_estimate(a, a.flatten())
+    return NormEstimate(
+        value=float(np.linalg.norm(forward(vector))), kind=kind,
+        certificate=BlockVector.from_flat(vector, a.dim), iterations=iterations,
+    )
 
 
-def _lanczos(forward, backward, n: int, steps: int) -> tuple[np.ndarray, int, bool]:
+def _products(a: BlockMatrix) -> tuple[Callable, Callable, tuple | None]:
+    """``x -> A x`` and ``x -> A* A x`` on flat vectors, and the band of
+    ``A* A`` when it is admitted.
+
+    A dense ``a`` multiplies by its flattening.  A banded or toeplitz
+    one goes through :func:`apply` for ``A``.  For ``A* A`` it goes
+    through the super-blocks of :func:`_gram_superblocks` when
+    :func:`_superblock_rows` admits the band (returned as the third
+    item), else through :func:`apply` on ``a`` and its adjoint (None).
+    """
+    if a.structure == DENSE:
+        flat = a.flatten()
+        return (lambda x: flat @ x), (lambda x: ((flat @ x).conj() @ flat).conj()), None
+
+    def forward(x):
+        return apply(a, BlockVector.from_flat(x, a.dim)).flatten()
+
+    rows = _superblock_rows(a)
+    if rows is not None:
+        band = _gram_superblocks(a, rows)
+        return forward, partial(_gram_product, band), band
+    a_star = adjoint(a)
+
+    def gram(x):
+        return apply(a_star, BlockVector.from_flat(forward(x), a.dim)).flatten()
+
+    return forward, gram, None
+
+
+def _lanczos(gram, n: int, steps: int) -> tuple[np.ndarray, int, bool]:
     """Top Ritz vector of ``A* A`` by Lanczos.
 
-    ``forward`` and ``backward`` apply ``A`` and ``A*`` to flat vectors
-    of length ``n``.  Every new Krylov vector is orthogonalized twice
-    against the whole basis; in exact arithmetic the Ritz values are the
-    squares of those of Golub-Kahan bidiagonalization from the same
-    seeded start vector.  Stops on the residual
-    ``|A* A v - theta v| = beta_k |e_k^T y|`` of the top Ritz pair,
-    with power iteration's rule ``<= 0.1 * POWER_TOLERANCE * theta``,
-    or on breakdown (``beta = 0``: the Krylov space is invariant).
-    Returns ``(v, steps taken, whether the rule held)`` for the unit
-    top Ritz vector ``v``; after ``steps`` steps without convergence,
-    the last one.
+    ``gram`` applies ``A* A`` to flat vectors of length ``n``.  Every
+    new Krylov vector is orthogonalized twice against the whole basis;
+    in exact arithmetic the Ritz values are the squares of those of
+    Golub-Kahan bidiagonalization from the same seeded start vector.
+    Stops on the residual ``|A* A v - theta v| = beta_k |e_k^T y|`` of
+    the top Ritz pair, with power iteration's rule ``<= 0.1 *
+    POWER_TOLERANCE * theta``, or on breakdown (``beta = 0``: the Krylov
+    space is invariant).  Returns ``(v, steps taken, whether the rule
+    held)`` for the unit top Ritz vector ``v``; after ``steps`` steps
+    without convergence, the last one.
     """
     rng = np.random.default_rng(0)
     q = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -235,7 +251,7 @@ def _lanczos(forward, backward, n: int, steps: int) -> tuple[np.ndarray, int, bo
             basis = grown
         basis[k] = q
         span = basis[: k + 1]
-        w = backward(forward(q))
+        w = gram(q)
         alphas.append(float(np.real(np.vdot(q, w))))
         for _ in range(2):
             w = w - (span @ w.conj()).conj() @ span
@@ -258,18 +274,20 @@ def _lanczos(forward, backward, n: int, steps: int) -> tuple[np.ndarray, int, bo
 
 
 def _superblock_rows(a: BlockMatrix) -> int | None:
-    """Block rows per super-block of the shift-and-invert finish.
+    """Block rows per super-block of the band of ``A* A``.
 
-    ``2b`` for the half-width ``b = hi - lo`` of ``A* A``, at least 4
-    and at most N.  None when the finish's ``_FINISH_ARRAYS`` arrays of
-    super-blocks would hold more numbers than the ``min(flat_size,
-    EXACT_SVD_LIMIT)`` Lanczos vectors it stands in for: such a band is
-    left to Lanczos.  Each array holds at least ``N * rows * d^2``
+    ``b`` for the half-width ``b = hi - lo`` of ``A* A``, which is what
+    makes the band block tridiagonal, at least 4 and at most N.  None
+    when the finish's ``_FINISH_ARRAYS`` arrays of super-blocks would
+    hold more numbers than the ``min(flat_size, EXACT_SVD_LIMIT)``
+    Lanczos vectors it stands in for: such a band is left to Lanczos
+    through :func:`apply`.  Each array holds at least ``N * rows * d^2``
     numbers, so an admitted super-block side ``rows * d`` stays below
-    ``EXACT_SVD_LIMIT / _FINISH_ARRAYS``.
+    ``EXACT_SVD_LIMIT / _FINISH_ARRAYS``.  Decided from the band bounds
+    alone; nothing is allocated.
     """
     lo, hi = a.band_bounds()
-    rows = min(max(2 * (hi - lo), 4), a.size)
+    rows = min(max(hi - lo, 4), a.size)
     count = -(-a.size // rows)
     held = _FINISH_ARRAYS * count * (rows * a.dim) ** 2
     if held > min(a.flat_size, EXACT_SVD_LIMIT) * a.flat_size:
@@ -277,32 +295,53 @@ def _superblock_rows(a: BlockMatrix) -> int | None:
     return rows
 
 
-def _shift_invert(a: BlockMatrix, rows: int, forward, backward, v: np.ndarray,
-                  iterations: int) -> NormEstimate:
+def _gram_product(band: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
+    """``A* A x`` for a flat ``x`` from the super-blocks ``band = (D, E)``
+    of :func:`_gram_superblocks`.
+
+    With ``x`` split into super-block slices ``x_j`` (zero-padded past
+    its end), ``y_j = D_j x_j + E_j x_j+1 + E_j-1* x_j-1``: three batched
+    products.  The last one is formed as ``(x_j-1* E_j-1)*``, so no
+    adjoint of ``E`` is stored.
+    """
+    diag, upper = band
+    count, side = diag.shape[:2]
+    padded = np.zeros((count, side), dtype=complex)
+    padded.reshape(-1)[: len(x)] = x
+    y = (diag @ padded[..., None])[..., 0]
+    y[:-1] += (upper @ padded[1:, :, None])[..., 0]
+    y[1:] += (padded[:-1, None, :].conj() @ upper)[:, 0].conj()
+    return y.reshape(-1)[: len(x)]
+
+
+def _shift_invert(band: tuple[np.ndarray, np.ndarray], gram, v: np.ndarray,
+                  iterations: int) -> tuple[np.ndarray, int]:
     """Finish Lanczos on a banded or toeplitz matrix by inverse iteration.
 
-    ``rows`` block rows make one super-block of the band of ``A* A``.
-    Each round factors ``s I - A* A`` at ``s = theta + 2 r``, from
-    ``theta = |A v|^2`` and the residual ``r = |A* A v - theta v|``; a
+    ``band`` holds the super-blocks of ``A* A`` (see
+    :func:`_gram_superblocks`) and ``gram`` applies ``A* A`` to flat
+    vectors.  Each round factors ``s I - A* A`` at ``s = theta + 2 r``,
+    from the Rayleigh quotient ``theta = v* A* A v`` and the residual
+    ``r = |A* A v - theta v|``: one product with ``gram``.  A
     factorization that fails proves nothing and is retried with four
     times the increment.  A completed one proves ``|A|^2 < s``, so
     solving with it pulls ``v`` toward the top singular vector; up to
     ``_SOLVES_PER_FACTORIZATION`` solves follow, until ``r`` meets the
-    Lanczos rule.  ``iterations`` goes on counting the solves.
+    Lanczos rule.  Returns the unit vector and ``iterations`` plus the
+    solves.
 
     Raises
     ------
     NonConvergenceError
         After ``_FACTORIZATION_CAP`` factorizations.
     """
-    diag, upper = _gram_superblocks(a, rows)
 
     def measure(v):
-        w = forward(v)
-        theta = float(np.real(np.vdot(w, w)))
-        return w, theta, float(np.linalg.norm(backward(w) - theta * v))
+        w = gram(v)
+        theta = float(np.real(np.vdot(v, w)))
+        return theta, float(np.linalg.norm(w - theta * v))
 
-    w, theta, residual = measure(v)
+    theta, residual = measure(v)
     factorizations = 0
     while residual > _RESIDUAL_TOLERANCE * theta:
         increment = 2 * residual
@@ -312,20 +351,17 @@ def _shift_invert(a: BlockMatrix, rows: int, forward, backward, v: np.ndarray,
                 raise NonConvergenceError(_FACTORIZATION_CAP, "shift-and-invert")
             factorizations += 1
             try:
-                factors = _block_cholesky(diag, upper, theta + increment)
+                factors = _block_cholesky(*band, theta + increment)
             except np.linalg.LinAlgError:
                 increment *= 4
         for _ in range(_SOLVES_PER_FACTORIZATION):
             v = _block_solve(*factors, v)
             v /= np.linalg.norm(v)
             iterations += 1
-            w, theta, residual = measure(v)
+            theta, residual = measure(v)
             if residual <= _RESIDUAL_TOLERANCE * theta:
                 break
-    return NormEstimate(
-        value=float(np.linalg.norm(w)), kind="shift_invert",
-        certificate=BlockVector.from_flat(v, a.dim), iterations=iterations,
-    )
+    return v, iterations
 
 
 def _gram_superblocks(a: BlockMatrix, rows: int) -> tuple[np.ndarray, np.ndarray]:
@@ -484,7 +520,8 @@ def multiplier_lower_bound(
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    seeds = np.random.SeedSequence(seed).spawn(_count(trials, "trials", 1))
+    seeds = np.random.SeedSequence(_count(seed, "seed", 0)).spawn(
+        _count(trials, "trials", 1))
 
     def ratios():
         for index, trial_seed in enumerate(seeds):

@@ -251,6 +251,10 @@ class TestDilationMatrix:
             1.0, abs=1e-12
         )
 
+    def test_non_integer_size_is_refused(self):
+        with pytest.raises(StructureError, match="^size 4.5 is not an integer$"):
+            dilation_matrix(4.5, 2)
+
     @given(angles)
     @settings(max_examples=25, deadline=None)
     def test_modulation_distance_formula(self, angle):

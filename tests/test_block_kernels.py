@@ -22,7 +22,7 @@ from opschur.matrices import (
     scale_diagonals,
     schur_product,
 )
-from opschur.norms import _gram_superblocks
+from opschur.norms import _gram_product, _gram_superblocks
 
 DIMS = [1, 2, 3, 4]
 DATA = ["gaussian", "integer", "signed_zero"]
@@ -131,6 +131,27 @@ def test_gram_superblocks_match_einsum(band, kind, data, dim):
     for got, want in zip(_gram_superblocks(a, rows), (diag, upper)):
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=0, atol=atol)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("kind", [TOEPLITZ, BANDED])
+@pytest.mark.parametrize(
+    "size, band",
+    # 23 and 9 are not multiples of the rows; -8..7 is wider than N = 10
+    [(23, (-3, 2)), (9, (0, 0)), (40, (-6, 6)), (10, (-8, 7))],
+    ids=["rows-5", "rows-4", "rows-12", "wider-than-N"],
+)
+def test_gram_product_matches_flat_gram(size, band, kind, dim):
+    lo, hi = band
+    rng = np.random.default_rng(50 + dim)
+    a = _matrix(kind, rng, "gaussian", size, dim, range(lo, hi + 1))
+    rows = min(max(hi - lo, 4), size)
+    flat = a.flatten()
+    x = _entries(rng, "gaussian", (a.flat_size,))
+    want = flat.conj().T @ (flat @ x)
+    got = _gram_product(_gram_superblocks(a, rows), x)
+    assert got.shape == want.shape
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize(

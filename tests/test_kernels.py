@@ -288,6 +288,16 @@ class TestMasks:
             m.entry(1, 3).matrix, np.exp(0.6j) * np.eye(2), atol=1e-14
         )
 
+    @pytest.mark.parametrize(
+        "build, what",
+        [(lambda: mask(ScalarSymbol.fejer(2), 4.5, 2), "size 4.5"),
+         (lambda: modulation_mask(0.1, 4, 2.5), "dim 2.5")],
+        ids=["mask-size", "modulation-dim"],
+    )
+    def test_non_integer_size_and_dim_are_refused(self, build, what):
+        with pytest.raises(StructureError, match=f"^{what} is not an integer$"):
+            build()
+
 
 class TestSmooth:
     @pytest.mark.parametrize("kind", ["dense", "toeplitz", "banded"])

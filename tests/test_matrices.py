@@ -171,6 +171,24 @@ class TestConstruction:
         with pytest.raises(StructureError, match=f"^{what} is not an integer$"):
             build()
 
+    @pytest.mark.parametrize(
+        "build, what",
+        [(lambda: random_dense(4, 2.5, 0), "dim 2.5"),
+         (lambda: random_dense(4.5, 2, 0), "size 4.5"),
+         (lambda: random_banded(4.5, 2, 0, (0, 1)), "size 4.5"),
+         (lambda: random_banded(4, 2.5, 0, (0, 1)), "dim 2.5"),
+         (lambda: random_vector(4, 2.5, 0), "dim 2.5"),
+         (lambda: random_vector(True, 2, 0), "size True"),
+         (lambda: random_toeplitz(4, 2.5, 0, [0]), "dim 2.5"),
+         (lambda: random_toeplitz(4.5, 2, 0, [0]), "size 4.5")],
+        ids=["dense-dim", "dense-size", "banded-size", "banded-dim", "vector-dim",
+             "vector-bool-size", "toeplitz-dim", "toeplitz-size"],
+    )
+    def test_random_builders_refuse_non_integer_size_and_dim(self, build, what):
+        # checked before the Gaussian draw, which raised numpy's TypeError
+        with pytest.raises(StructureError, match=f"^{what} is not an integer$"):
+            build()
+
 
 class TestFlatten:
     @given(seeds)

@@ -1,4 +1,5 @@
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from opschur.errors import NonConvergenceError
 from opschur.kernels import ScalarSymbol, mask
 from opschur.matrices import (
     BlockMatrix,
-    adjoint,
     apply,
     random_dense,
     random_toeplitz,
@@ -187,6 +187,47 @@ class TestShiftInvert:
         bound = (estimate.value * (1 + 1e-8)) ** 2
         np.linalg.cholesky(bound * np.eye(len(flat)) - flat.conj().T @ flat)
 
+    def test_band_of_thirty_is_certified(self):
+        # offsets -15..15 (b = 30): Lanczos alone needs 376 steps here
+        a = random_toeplitz(600, 2, np.random.default_rng(1), range(-15, 16), decay=0.5)
+        estimate = op_norm(a)
+        assert estimate.kind == "shift_invert"
+        witnessed = apply(a, estimate.certificate).norm()
+        assert abs(witnessed - estimate.value) <= 1e-10 * estimate.value
+        flat = a.flatten()
+        bound = (estimate.value * (1 + 1e-8)) ** 2
+        np.linalg.cholesky(bound * np.eye(len(flat)) - flat.conj().T @ flat)
+
+    def test_lanczos_and_finish_never_call_apply(self, monkeypatch):
+        # banded storage of the smooth symbol: apply runs once, for |A v|
+        smooth = _smooth_toeplitz(500)
+        a = BlockMatrix.banded(
+            {l: smooth.diagonal_run(l) for l in smooth.diagonal_support()}, 500)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return apply(*args)
+
+        monkeypatch.setattr(norms, "apply", counted)
+        estimate = op_norm(a)
+        assert estimate.kind == "shift_invert"
+        assert estimate.iterations > norms._HANDOFF_STEPS
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("width, rows", [(42, 42), (43, None)])
+    def test_band_limit_at_4096(self, width, rows):
+        # offsets 0 and width: two stored blocks span a band of that width
+        a = BlockMatrix.toeplitz({0: np.eye(2), width: np.eye(2)}, 4096)
+        tracemalloc.start()
+        try:
+            got = norms._superblock_rows(a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == rows
+        assert peak < 10_000
+
     def test_finish_never_densifies(self, monkeypatch):
         a = _smooth_toeplitz(2**12)
 
@@ -217,24 +258,18 @@ class TestShiftInvert:
         monkeypatch.setattr(norms, "_block_cholesky", watched)
         start = gaussian(np.random.default_rng(5), (a.flat_size,))
         start /= np.linalg.norm(start)
-        a_star = adjoint(a)
-
-        def forward(x):
-            return apply(a, BlockVector.from_flat(x, 2)).flatten()
-
-        def backward(y):
-            return apply(a_star, BlockVector.from_flat(y, 2)).flatten()
-
-        rows = norms._superblock_rows(a)
-        estimate = norms._shift_invert(a, rows, forward, backward, start, 0)
+        band = norms._gram_superblocks(a, norms._superblock_rows(a))
+        gram = partial(norms._gram_product, band)
+        vector, _ = norms._shift_invert(band, gram, start, 0)
         assert failures
+        value = apply(a, BlockVector.from_flat(vector, 2)).norm()
         oracle = spectral_norm(a.flatten())
-        assert abs(estimate.value - oracle) <= 1e-8 * oracle
+        assert abs(value - oracle) <= 1e-8 * oracle
         # a cap that the failed shifts use up ends the finish
         cap = len(failures)
         monkeypatch.setattr(norms, "_FACTORIZATION_CAP", cap)
         with pytest.raises(NonConvergenceError) as err:
-            norms._shift_invert(a, rows, forward, backward, start, 0)
+            norms._shift_invert(band, gram, start, 0)
         assert err.value.iteration_cap == cap
 
     def test_band_wider_than_the_matrix(self):
@@ -401,6 +436,10 @@ class TestMultiplierLowerBound:
     def test_rejects_unknown_side(self):
         with pytest.raises(ValueError):
             multiplier_lower_bound(BlockMatrix.identity(4, 2), side="middle")
+
+    def test_negative_seed_is_refused(self):
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            multiplier_lower_bound(BlockMatrix.identity(4, 2), seed=-1)
 
 
 class TestSampledLowerBound:
