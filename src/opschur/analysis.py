@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -27,7 +27,8 @@ from .errors import (
     DiscDomainError,
     StructureError,
 )
-from .kernels import ScalarSymbol, SummabilityKernel, _TrigPolynomial, _count, smooth
+from .kernels import (ScalarSymbol, SummabilityKernel, _TrigPolynomial, _count,
+                      _spawned_rngs, smooth)
 from .matrices import TOEPLITZ, BlockMatrix, _gaussian, _integer, scale_diagonals
 from .norms import NormEstimate, _sampled_lower_bound, op_norm, symbol_sup_norm
 
@@ -99,11 +100,18 @@ class ConvergenceProfile:
 
 
 def _profile_verdict(
+    a: BlockMatrix,
+    family: Callable[[float], ScalarSymbol],
     indices: Sequence[float],
-    distances: Sequence[float],
-    tolerance: float,
-    reference_norm: float,
+    tolerance: float | None,
 ) -> ConvergenceProfile:
+    """Distances ``|smooth(a, family(i)) - a|`` along ``indices``, with the
+    default tolerance of :func:`smoothing_profile` and the verdict of
+    :class:`ConvergenceProfile`."""
+    reference = op_norm(a).value
+    if tolerance is None:
+        tolerance = RELATIVE_PROFILE_TOLERANCE * reference
+    distances = [op_norm(smooth(a, family(i)) - a).value for i in indices]
     n = len(distances)
     threshold_pos = None
     for i in range(n - 1, -1, -1):
@@ -117,7 +125,7 @@ def _profile_verdict(
         indices=tuple(float(i) for i in indices),
         distances=tuple(float(d) for d in distances),
         tolerance=float(tolerance),
-        reference_norm=float(reference_norm),
+        reference_norm=float(reference),
         converged=converged,
         threshold_index=None if threshold_pos is None else float(indices[threshold_pos]),
         floor=float(min(distances)),
@@ -149,11 +157,7 @@ def smoothing_profile(
     orders = [_count(n, "profile order") for n in orders]
     if not orders:
         raise ValueError("smoothing profile needs at least one order")
-    reference = op_norm(a).value
-    if tolerance is None:
-        tolerance = RELATIVE_PROFILE_TOLERANCE * reference
-    distances = [op_norm(smooth(a, kernel(n)) - a).value for n in orders]
-    return _profile_verdict(orders, distances, tolerance, reference)
+    return _profile_verdict(a, kernel, orders, tolerance)
 
 
 def dilation_matrix(size: int, dim: int) -> BlockMatrix:
@@ -241,7 +245,7 @@ def coefficient_action_bound(
     ``trials`` must be an integer of at least 1.
     """
     _require_toeplitz(a, "coefficient action")
-    seeds = np.random.SeedSequence(seed).spawn(_count(trials, "trials", 1))
+    rngs = _spawned_rngs(seed, trials)
     window = min(POLYNOMIAL_DEGREE, a.size - 1)
 
     def polynomials():
@@ -251,8 +255,7 @@ def coefficient_action_bound(
                 _, _, vh = singular_triples(block)
                 p = VectorPolynomial({offset: vh[0].conj()})
                 yield "single_frequency", index, p
-        for index, trial_seed in enumerate(seeds):
-            rng = np.random.default_rng(trial_seed)
+        for index, rng in enumerate(rngs):
             gauss = _random_parts(rng, a.dim, window)
             style = index % 3
             if style == 0:
@@ -343,26 +346,16 @@ def boundary_profile(
 
     The supremum over each circle is taken on a uniform grid of
     ``BOUNDARY_ANGLES`` angles; modulation invariance makes the norm
-    constant in the angle, so a small grid suffices.
+    constant in the angle, so a small grid suffices.  The Poisson
+    distances default to the tolerance of :func:`smoothing_profile`.
     """
-    radii = [float(r) for r in radii]
+    radii = tuple(float(r) for r in radii)
     if not radii:
         raise ValueError("boundary profile needs at least one radius")
-    reference = op_norm(a).value
-    if tolerance is None:
-        tolerance = RELATIVE_PROFILE_TOLERANCE * reference
+    profile = _profile_verdict(a, ScalarSymbol.poisson, radii, tolerance)
     angles = 2 * np.pi * np.arange(BOUNDARY_ANGLES) / BOUNDARY_ANGLES
-    sups = []
-    distances = []
-    for r in radii:
-        sups.append(
-            max(
-                op_norm(analytic_eval(a, r * np.exp(1j * t))).value
-                for t in angles
-            )
-        )
-        distances.append(op_norm(smooth(a, ScalarSymbol.poisson(r)) - a).value)
-    profile = _profile_verdict(radii, distances, tolerance, reference)
-    return BoundaryProfile(
-        radii=tuple(radii), sup_values=tuple(sups), poisson=profile
+    sups = tuple(
+        max(op_norm(analytic_eval(a, r * np.exp(1j * t))).value for t in angles)
+        for r in radii
     )
+    return BoundaryProfile(radii=radii, sup_values=sups, poisson=profile)

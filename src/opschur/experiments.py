@@ -19,7 +19,7 @@ import numpy as np
 from . import analysis, kernels, matrices, norms
 from .analysis import VectorPolynomial, dilation_matrix
 from .blocks import OperatorBlock
-from .kernels import ScalarSymbol
+from .kernels import ScalarSymbol, _spawned_rngs
 from .matrices import BlockMatrix
 
 __all__ = [
@@ -75,11 +75,6 @@ class ExperimentResult:
         return all(a.passed for a in self.assertions)
 
 
-def _rngs(config: ExperimentConfig, count: int) -> list[np.random.Generator]:
-    seeds = np.random.SeedSequence(config.seed).spawn(count)
-    return [np.random.default_rng(s) for s in seeds]
-
-
 def _assert_cap(name: str, worst: float, cap: float) -> Assertion:
     return Assertion(name, worst <= cap, f"worst {worst:.6e}, cap {cap:.6e}")
 
@@ -100,7 +95,7 @@ def norm_identities(config: ExperimentConfig) -> ExperimentResult:
         rows.append((check, trial, lhs, rhs, err))
         worst[check] = max(worst.get(check, 0.0), err)
 
-    for trial, rng in enumerate(_rngs(config, trials)):
+    for trial, rng in enumerate(_spawned_rngs(config.seed, trials)):
         x = matrices.random_vector(config.size, config.dim, rng)
         y = matrices.random_vector(config.size, config.dim, rng)
         record(
@@ -130,7 +125,7 @@ def norm_identities(config: ExperimentConfig) -> ExperimentResult:
                diag.max_block_norm())
 
     wiener_margin = 0.0
-    for trial, rng in enumerate(_rngs(config, trials)):
+    for trial, rng in enumerate(_spawned_rngs(config.seed, trials)):
         t = matrices.random_toeplitz(config.size, config.dim, rng,
                                      range(-3, 4), decay=0.6)
         gap = float(norms.op_norm(t)) - norms.wiener_norm(t)
@@ -162,7 +157,7 @@ def schur_submultiplicativity(config: ExperimentConfig) -> ExperimentResult:
     )
     rows = []
     worst = -math.inf
-    for trial, rng in enumerate(_rngs(config, trials)):
+    for trial, rng in enumerate(_spawned_rngs(config.seed, trials)):
         kind_a, kind_b = pairs[trial % len(pairs)]
         a = _random_by_kind(kind_a, config, rng)
         b = _random_by_kind(kind_b, config, rng)
@@ -243,7 +238,7 @@ def sigma_profiles(config: ExperimentConfig) -> ExperimentResult:
     diagonal, keeps its distance bounded below no matter the order.
     """
     fejer = kernels.fejer_family()
-    rng = _rngs(config, 1)[0]
+    rng = _spawned_rngs(config.seed, 1)[0]
     banded = matrices.random_banded(32, config.dim, rng, (0, 1), decay=0.5)
     banded_profile = analysis.smoothing_profile(
         banded, fejer, SIGMA_ORDERS,
@@ -322,7 +317,7 @@ def phi_bounds(config: ExperimentConfig) -> ExperimentResult:
     exceed it.
     """
     size = 32
-    rng = _rngs(config, 1)[0]
+    rng = _spawned_rngs(config.seed, 1)[0]
     block = (rng.standard_normal((config.dim, config.dim))
              + 1j * rng.standard_normal((config.dim, config.dim)))
     block_norm = float(np.linalg.norm(block, 2))
@@ -333,7 +328,7 @@ def phi_bounds(config: ExperimentConfig) -> ExperimentResult:
     estimate = analysis.coefficient_action_bound(a, trials=120, seed=config.seed)
     rows = []
     worst_ratio = 0.0
-    for trial, trial_rng in enumerate(_rngs(config, 100)):
+    for trial, trial_rng in enumerate(_spawned_rngs(config.seed, 100)):
         p = VectorPolynomial(analysis._random_parts(
             trial_rng, config.dim, analysis.POLYNOMIAL_DEGREE))
         action = float(np.linalg.norm(analysis.coefficient_action(a, p)))

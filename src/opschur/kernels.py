@@ -59,6 +59,13 @@ def _count(n, what: str, least: int = 0) -> int:
     return n
 
 
+def _spawned_rngs(seed, trials) -> list[np.random.Generator]:
+    """One generator per trial, each from its own child of ``seed``, so
+    a trial's draws do not depend on the trials before it."""
+    seeds = np.random.SeedSequence(_count(seed, "seed")).spawn(_count(trials, "trials", 1))
+    return [np.random.default_rng(s) for s in seeds]
+
+
 class _TrigPolynomial:
     """Trig polynomial ``t -> sum_l c_l e^{i l t}``, ``c_l`` of rank ``_rank``.
 

@@ -264,6 +264,7 @@ class BlockMatrix:
 
     def entry(self, k: int, j: int) -> OperatorBlock:
         """Block at row ``k``, column ``j`` (0-based)."""
+        k, j = _integer(k, "row index"), _integer(j, "column index")
         if not (0 <= k < self._size and 0 <= j < self._size):
             raise IndexError(f"entry ({k}, {j}) outside {self._size} x {self._size}")
         run = self._run(j - k)
@@ -271,6 +272,7 @@ class BlockMatrix:
 
     def diagonal_run(self, offset: int) -> np.ndarray:
         """All blocks on a diagonal as an (N - |offset|, d, d) array."""
+        offset = _integer(offset, "diagonal offset")
         if abs(offset) > self._size - 1:
             raise DiagonalRangeError(offset, self._size)
         count = self._size - abs(offset)

@@ -1,10 +1,11 @@
 """Operator norms, certified estimates, and multiplier lower bounds.
 
-Every estimator states what it computed.  A :class:`NormEstimate`
-carries the value, the kind (``exact_svd``, ``lanczos`` or
-``shift_invert`` from :func:`op_norm`, ``sampled_lower_bound`` from the
-multiplier and coefficient-action bounds) and, where available, a certificate that
-witnesses the value.  Multiplier norms are never reported as exact.
+Every estimator returns a :class:`NormEstimate`: the value, the kind
+(``exact_svd``, ``lanczos`` or ``shift_invert`` from :func:`op_norm`,
+``grid_max`` from :func:`symbol_sup_norm`, ``sampled_lower_bound`` from
+the multiplier and coefficient-action bounds) and, where available, a
+certificate that witnesses the value.  Multiplier norms are never
+reported as exact.
 :func:`power_iteration` stays public only because the benchmark traces it.
 """
 
@@ -12,13 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from .blocks import BlockVector, singular_triples
 from .errors import NonConvergenceError
-from .kernels import _count, modulation_mask, torus_grid
+from .kernels import _count, _spawned_rngs, modulation_mask, torus_grid
 from .matrices import (
     DENSE,
     BlockMatrix,
@@ -36,7 +37,6 @@ __all__ = [
     "POWER_TOLERANCE",
     "POWER_ITERATION_CAP",
     "NormEstimate",
-    "SupNorm",
     "op_norm",
     "power_iteration",
     "wiener_norm",
@@ -62,7 +62,8 @@ _SOLVES_PER_FACTORIZATION = 3
 _FACTORIZATION_CAP = 32
 _FINISH_ARRAYS = 6
 
-# Lanczos and the finish stop once |A* A v - theta v| <= this * theta.
+# Power iteration, Lanczos and the finish stop once
+# |A* A v - theta v| <= this * theta.
 _RESIDUAL_TOLERANCE = 0.1 * POWER_TOLERANCE
 
 SUP_REFINEMENT_TOLERANCE = 1e-6
@@ -74,14 +75,17 @@ class NormEstimate:
     """A norm value together with how it was obtained.
 
     ``kind`` is ``exact_svd``, ``lanczos`` or ``shift_invert`` (from
-    :func:`op_norm`) or ``sampled_lower_bound``; ``iterations`` counts
-    the Lanczos products with ``A* A`` and, for ``shift_invert``, the
-    inverse-iteration solves after them.  A ``shift_invert`` estimate
-    went through factorizations of ``s I - A* A`` whose completion
-    proved ``|A|^2 < s``; ``value`` is still ``|A v|``, a lower bound,
-    and no upper bound is reported.  The certificate, when present, is
-    a unit :class:`BlockVector` (or a descriptor of a witness matrix)
-    that achieves the value within the tolerance of the kind.
+    :func:`op_norm`), ``grid_max`` (from :func:`symbol_sup_norm`) or
+    ``sampled_lower_bound``.  ``iterations`` counts the Lanczos products
+    with ``A* A`` and, for ``shift_invert``, the inverse-iteration
+    solves after them; ``samples`` counts the sampled trials, and
+    ``grid_points`` the final torus grid of a ``grid_max``.  A
+    ``shift_invert`` estimate went through factorizations of ``s I -
+    A* A`` whose completion proved ``|A|^2 < s``; ``value`` is still
+    ``|A v|``, a lower bound, and no upper bound is reported.  The
+    certificate, when present, is a unit :class:`BlockVector` (or a
+    descriptor of a witness matrix) that achieves the value within the
+    tolerance of the kind.
     """
 
     value: float
@@ -89,16 +93,7 @@ class NormEstimate:
     certificate: object | None = field(default=None, compare=False)
     iterations: int = 0
     samples: int = 0
-
-    def __float__(self) -> float:
-        return self.value
-
-
-class SupNorm(NamedTuple):
-    """Grid supremum of a symbol, reported with its grid resolution."""
-
-    value: float
-    grid_points: int
+    grid_points: int = 0
 
     def __float__(self) -> float:
         return self.value
@@ -107,14 +102,15 @@ class SupNorm(NamedTuple):
 def power_iteration(
     m: np.ndarray,
     seed: int = 0,
-    tol: float = POWER_TOLERANCE,
     max_iter: int = POWER_ITERATION_CAP,
 ) -> tuple[float, np.ndarray, int]:
     """Top singular value of ``m`` by power iteration on ``m* m``.
 
-    Starts from a seeded random unit vector and stops once the Rayleigh
-    residual ``|m* m v - mu v|`` drops below ``0.1 * tol * mu``, which
-    pins the relative error of the returned value well below ``tol``.
+    Starts from a seeded random unit vector and stops on the rule that
+    Lanczos uses: the Rayleigh residual ``|m* m v - mu v|`` at most
+    ``0.1 * POWER_TOLERANCE * mu``, which pins the relative error of the
+    returned value well below ``POWER_TOLERANCE``.  ``seed`` and
+    ``max_iter`` must be integers of at least 0 and 1.
     Returns ``(value, right_vector, iterations)``.
 
     Raises
@@ -123,16 +119,16 @@ def power_iteration(
         When the cap is reached first; the error carries the cap.
     """
     m = np.asarray(m, dtype=complex)
-    rng = np.random.default_rng(seed)
+    max_iter = _count(max_iter, "max_iter", 1)
+    rng = np.random.default_rng(_count(seed, "seed"))
     v = rng.standard_normal(m.shape[1]) + 1j * rng.standard_normal(m.shape[1])
     v /= np.linalg.norm(v)
-    residual_tol = 0.1 * tol
     for iteration in range(1, max_iter + 1):
         w = m.conj().T @ (m @ v)
         mu = float(np.real(np.vdot(v, w)))
         if mu <= 0:
             return 0.0, v, iteration
-        if np.linalg.norm(w - mu * v) <= residual_tol * mu:
+        if np.linalg.norm(w - mu * v) <= _RESIDUAL_TOLERANCE * mu:
             return float(np.linalg.norm(m @ v)), v, iteration
         v = w / np.linalg.norm(w)
     raise NonConvergenceError(max_iter, "power iteration")
@@ -171,14 +167,14 @@ def op_norm(a: BlockMatrix) -> NormEstimate:
         on a matrix of side above ``8 * EXACT_SVD_LIMIT``.
     """
     if a.flat_size <= EXACT_SVD_LIMIT:
-        return _exact_estimate(a, a.flatten())
+        return _exact_estimate(a)
     forward, gram, band = _products(a)
     steps = min(a.flat_size, EXACT_SVD_LIMIT) if band is None else _HANDOFF_STEPS
     vector, iterations, converged = _lanczos(gram, a.flat_size, steps)
     kind = "lanczos"
     if not converged and band is not None:
         try:
-            vector, iterations = _shift_invert(band, gram, vector, iterations)
+            vector, iterations = _shift_invert(band, vector, iterations)
             kind, converged = "shift_invert", True
         except NonConvergenceError:
             if a.flat_size > 8 * EXACT_SVD_LIMIT:
@@ -186,7 +182,7 @@ def op_norm(a: BlockMatrix) -> NormEstimate:
     if not converged:
         if a.flat_size > 8 * EXACT_SVD_LIMIT:
             raise NonConvergenceError(steps, "lanczos")
-        return _exact_estimate(a, a.flatten())
+        return _exact_estimate(a)
     return NormEstimate(
         value=float(np.linalg.norm(forward(vector))), kind=kind,
         certificate=BlockVector.from_flat(vector, a.dim), iterations=iterations,
@@ -314,21 +310,20 @@ def _gram_product(band: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndar
     return y.reshape(-1)[: len(x)]
 
 
-def _shift_invert(band: tuple[np.ndarray, np.ndarray], gram, v: np.ndarray,
+def _shift_invert(band: tuple[np.ndarray, np.ndarray], v: np.ndarray,
                   iterations: int) -> tuple[np.ndarray, int]:
     """Finish Lanczos on a banded or toeplitz matrix by inverse iteration.
 
     ``band`` holds the super-blocks of ``A* A`` (see
-    :func:`_gram_superblocks`) and ``gram`` applies ``A* A`` to flat
-    vectors.  Each round factors ``s I - A* A`` at ``s = theta + 2 r``,
-    from the Rayleigh quotient ``theta = v* A* A v`` and the residual
-    ``r = |A* A v - theta v|``: one product with ``gram``.  A
-    factorization that fails proves nothing and is retried with four
-    times the increment.  A completed one proves ``|A|^2 < s``, so
-    solving with it pulls ``v`` toward the top singular vector; up to
-    ``_SOLVES_PER_FACTORIZATION`` solves follow, until ``r`` meets the
-    Lanczos rule.  Returns the unit vector and ``iterations`` plus the
-    solves.
+    :func:`_gram_superblocks`).  Each round factors ``s I - A* A`` at
+    ``s = theta + 2 r``, from the Rayleigh quotient ``theta = v* A* A
+    v`` and the residual ``r = |A* A v - theta v|``: one
+    :func:`_gram_product` with ``band``.  A factorization that fails
+    proves nothing and is retried with four times the increment.  A
+    completed one proves ``|A|^2 < s``, so solving with it pulls ``v``
+    toward the top singular vector; up to ``_SOLVES_PER_FACTORIZATION``
+    solves follow, until ``r`` meets the Lanczos rule.  Returns the unit
+    vector and ``iterations`` plus the solves.
 
     Raises
     ------
@@ -337,7 +332,7 @@ def _shift_invert(band: tuple[np.ndarray, np.ndarray], gram, v: np.ndarray,
     """
 
     def measure(v):
-        w = gram(v)
+        w = _gram_product(band, v)
         theta = float(np.real(np.vdot(v, w)))
         return theta, float(np.linalg.norm(w - theta * v))
 
@@ -443,8 +438,8 @@ def _block_solve(inverses: np.ndarray, forward_maps: np.ndarray,
     return x.reshape(-1)[: len(rhs)]
 
 
-def _exact_estimate(a: BlockMatrix, flat: np.ndarray) -> NormEstimate:
-    _, s, vh = singular_triples(flat)
+def _exact_estimate(a: BlockMatrix) -> NormEstimate:
+    _, s, vh = singular_triples(a.flatten())
     certificate = BlockVector.from_flat(vh[0].conj(), a.dim)
     return NormEstimate(value=float(s[0]), kind="exact_svd", certificate=certificate)
 
@@ -460,21 +455,7 @@ def wiener_norm(a: BlockMatrix) -> float:
     return total
 
 
-def _refined_sup(point_sups: Callable[[np.ndarray], np.ndarray], start: int) -> SupNorm:
-    """Double the torus grid until the running supremum stabilizes."""
-    points = max(64, int(start))
-    previous = None
-    while True:
-        value = float(np.max(point_sups(torus_grid(points))))
-        if previous is not None and abs(value - previous) <= SUP_REFINEMENT_TOLERANCE:
-            return SupNorm(value=value, grid_points=points)
-        if points >= SUP_GRID_CAP:
-            return SupNorm(value=value, grid_points=points)
-        previous = value
-        points *= 2
-
-
-def symbol_sup_norm(symbol) -> SupNorm:
+def symbol_sup_norm(symbol) -> NormEstimate:
     """Supremum of ``|symbol(t)|`` over the torus, on a finite grid.
 
     ``symbol`` is a scalar symbol, vector polynomial or operator symbol;
@@ -482,7 +463,8 @@ def symbol_sup_norm(symbol) -> SupNorm:
     spectral norm accordingly.  The grid starts at ``4 * (degree + 1)``
     points (at least 64; degree None, unbounded support, counts as 0)
     and is doubled until the supremum moves by at most
-    ``SUP_REFINEMENT_TOLERANCE``.
+    ``SUP_REFINEMENT_TOLERANCE`` or the grid reaches ``SUP_GRID_CAP``.
+    The result has kind ``grid_max`` and the final ``grid_points``.
     """
 
     def point_sups(t: np.ndarray) -> np.ndarray:
@@ -493,7 +475,14 @@ def symbol_sup_norm(symbol) -> SupNorm:
             return np.linalg.norm(vals, axis=-1)
         return np.abs(vals)
 
-    return _refined_sup(point_sups, 4 * ((symbol.degree or 0) + 1))
+    points = max(64, 4 * ((symbol.degree or 0) + 1))
+    previous = np.inf
+    while True:
+        value = float(np.max(point_sups(torus_grid(points))))
+        if abs(value - previous) <= SUP_REFINEMENT_TOLERANCE or points >= SUP_GRID_CAP:
+            return NormEstimate(value=value, kind="grid_max", grid_points=points)
+        previous = value
+        points *= 2
 
 
 _TRIAL_FAMILIES = ("identity", "dense", "rank_one", "modulation", "diagonal")
@@ -520,13 +509,12 @@ def multiplier_lower_bound(
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    seeds = np.random.SeedSequence(_count(seed, "seed", 0)).spawn(
-        _count(trials, "trials", 1))
+    rngs = _spawned_rngs(seed, trials)
 
     def ratios():
-        for index, trial_seed in enumerate(seeds):
+        for index, rng in enumerate(rngs):
             family = _TRIAL_FAMILIES[index % len(_TRIAL_FAMILIES)]
-            b = _trial_matrix(family, a.size, a.dim, np.random.default_rng(trial_seed))
+            b = _trial_matrix(family, a.size, a.dim, rng)
             pair = (a, b) if side == "left" else (b, a)
             yield (family, index, op_norm(b).value,
                    lambda: op_norm(schur_product(*pair)).value)

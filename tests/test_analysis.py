@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opschur import analysis
 from opschur.analysis import (
     ConvergenceProfile,
     OperatorSymbol,
@@ -25,6 +26,7 @@ from opschur.errors import (
     DiscDomainError,
     StructureError,
 )
+from opschur.experiments import HINF_RADII
 from opschur.kernels import ScalarSymbol, fejer_family, smooth, torus_grid
 from opschur.matrices import (
     BlockMatrix,
@@ -358,6 +360,17 @@ class TestCoefficientAction:
         with pytest.raises(ValueError, match=f"trials must be >= 1, got {trials}"):
             coefficient_action_bound(zero, trials=trials)
 
+    @pytest.mark.parametrize(
+        "seed, message",
+        [(-1, "seed must be >= 0, got -1"), (2.5, "seed must be an integer, got 2.5")],
+        ids=["negative", "float"],
+    )
+    def test_bad_seed_is_refused(self, seed, message):
+        # numpy's bare ValueError and TypeError before
+        zero = BlockMatrix.toeplitz({0: np.zeros((2, 2))}, 4)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            coefficient_action_bound(zero, seed=seed)
+
 
 class TestAnalyticEval:
     def test_shift_norm_is_radius(self):
@@ -426,6 +439,36 @@ class TestSymbolAnalyticEval:
             np.testing.assert_allclose(
                 got, np.eye(2) / (1.0 - z / 2.0), atol=1e-10
             )
+
+
+class TestProfileNormCounts:
+    """Every profile norm is counted; an added or dropped one fails here."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        made = []
+
+        def counted(a):
+            made.append(a)
+            return op_norm(a)
+
+        monkeypatch.setattr(analysis, "op_norm", counted)
+        return made
+
+    def test_boundary_profile_of_the_hinf_geometric(self, calls):
+        # hinf-profile's matrix: one reference norm, then per radius
+        # BOUNDARY_ANGLES sups and one Poisson distance
+        geometric = BlockMatrix.toeplitz(
+            {l: (0.5 ** l) * np.eye(2, dtype=complex) for l in range(64)}, 64
+        )
+        boundary_profile(geometric, HINF_RADII)
+        assert len(calls) == 55 == 1 + len(HINF_RADII) * (1 + analysis.BOUNDARY_ANGLES)
+
+    def test_smoothing_profile(self, calls):
+        orders = (1, 2, 4, 8)
+        smoothing_profile(random_banded(16, 2, np.random.default_rng(7), (0, 1)),
+                          fejer_family(), orders)
+        assert len(calls) == 1 + len(orders)
 
 
 class TestBoundaryProfile:

@@ -86,8 +86,12 @@ class TestConstruction:
          lambda: BlockMatrix.banded({-0.9: np.zeros((4, 2, 2))}, 4),
          lambda: BlockMatrix.toeplitz({"1": np.eye(2)}, 4),
          lambda: BlockMatrix.toeplitz({True: np.eye(2)}, 4),
-         lambda: random_toeplitz(4, 2, 0, [0.5, 0.7])],
-        ids=["toeplitz", "banded", "string", "True", "random_toeplitz"],
+         lambda: random_toeplitz(4, 2, 0, [0.5, 0.7]),
+         # read as offset 1, and numpy's TypeError
+         lambda: BlockMatrix.identity(4, 2).diagonal_run(True),
+         lambda: diagonal(BlockMatrix.identity(4, 2), 0.5)],
+        ids=["toeplitz", "banded", "string", "True", "random_toeplitz",
+             "diagonal_run-True", "diagonal-float"],
     )
     def test_non_integer_offsets_are_refused(self, build):
         with pytest.raises(StructureError, match="offset .* is not an integer"):
@@ -114,6 +118,9 @@ class TestConstruction:
         a = BlockMatrix.identity(3, 2)
         with pytest.raises(IndexError):
             a.entry(3, 0)
+        # a float index read a zero block
+        with pytest.raises(StructureError, match="^row index 0.5 is not an integer$"):
+            a.entry(0.5, 1)
 
     def test_diagonal_run_errors(self):
         a = BlockMatrix.identity(3, 2)

@@ -1,5 +1,4 @@
 import tracemalloc
-from functools import partial
 
 import numpy as np
 import pytest
@@ -259,8 +258,7 @@ class TestShiftInvert:
         start = gaussian(np.random.default_rng(5), (a.flat_size,))
         start /= np.linalg.norm(start)
         band = norms._gram_superblocks(a, norms._superblock_rows(a))
-        gram = partial(norms._gram_product, band)
-        vector, _ = norms._shift_invert(band, gram, start, 0)
+        vector, _ = norms._shift_invert(band, start, 0)
         assert failures
         value = apply(a, BlockVector.from_flat(vector, 2)).norm()
         oracle = spectral_norm(a.flatten())
@@ -269,7 +267,7 @@ class TestShiftInvert:
         cap = len(failures)
         monkeypatch.setattr(norms, "_FACTORIZATION_CAP", cap)
         with pytest.raises(NonConvergenceError) as err:
-            norms._shift_invert(band, gram, start, 0)
+            norms._shift_invert(band, start, 0)
         assert err.value.iteration_cap == cap
 
     def test_band_wider_than_the_matrix(self):
@@ -357,6 +355,17 @@ class TestPowerIteration:
         value, _, _ = power_iteration(np.zeros((4, 4), dtype=complex))
         assert value == 0.0
 
+    @pytest.mark.parametrize(
+        "option, message",
+        [({"max_iter": 2.5}, "max_iter must be an integer, got 2.5"),
+         ({"max_iter": 0}, "max_iter must be >= 1, got 0"),
+         ({"seed": -1}, "seed must be >= 0, got -1")],
+        ids=["float-cap", "zero-cap", "negative-seed"],
+    )
+    def test_bad_counts_are_refused(self, option, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            power_iteration(np.eye(3, dtype=complex), **option)
+
 
 class TestWienerNorm:
     def test_scalar_mask_sums_coefficients(self):
@@ -396,6 +405,13 @@ class TestSymbolSupNorm:
     def test_poisson_peak(self):
         s = ScalarSymbol.poisson(0.5)
         assert float(symbol_sup_norm(s)) == pytest.approx(3.0, abs=1e-6)
+
+    def test_reports_a_grid_max_estimate(self):
+        result = symbol_sup_norm(ScalarSymbol.fejer(3))
+        assert isinstance(result, NormEstimate)
+        assert result.kind == "grid_max"
+        assert result.grid_points >= 64
+        assert result.value == pytest.approx(1.0 + 2 * (0.75 + 0.5 + 0.25))
 
 
 class TestMultiplierLowerBound:
