@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .blocks import OperatorBlock, singular_triples
+from .blocks import OperatorBlock, _integer, singular_triples
 from .errors import (
     CoefficientSupportError,
     DimensionMismatchError,
@@ -29,7 +29,7 @@ from .errors import (
 )
 from .kernels import (ScalarSymbol, SummabilityKernel, _TrigPolynomial, _count,
                       _spawned_rngs, smooth)
-from .matrices import TOEPLITZ, BlockMatrix, _gaussian, _integer, scale_diagonals
+from .matrices import TOEPLITZ, BlockMatrix, _gaussian, scale_diagonals
 from .norms import NormEstimate, _sampled_lower_bound, op_norm, symbol_sup_norm
 
 __all__ = [

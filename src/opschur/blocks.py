@@ -11,9 +11,11 @@ object.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
-from .errors import DimensionMismatchError, NonConvergenceError
+from .errors import DimensionMismatchError, NonConvergenceError, StructureError
 
 __all__ = [
     "OperatorBlock",
@@ -30,6 +32,22 @@ def _frozen_complex(values, shape_hint: str) -> np.ndarray:
     if arr.size == 0:
         raise ValueError(f"{shape_hint} must be non-empty")
     return arr
+
+
+def _integer(value, what: str, least: int | None = None) -> int:
+    """An offset, index or size ``what`` as an int, of at least ``least``
+    when given; a non-integer is refused, never truncated onto a
+    neighbouring value.  A bool is refused too, although
+    ``operator.index(True)`` is 1."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        value = operator.index(value)
+    except TypeError:
+        raise StructureError(f"{what} {value!r} is not an integer") from None
+    if least is not None and value < least:
+        raise StructureError(f"{what} must be at least {least}, got {value}")
+    return value
 
 
 def inner(u: np.ndarray, v: np.ndarray) -> complex:
@@ -50,11 +68,11 @@ class OperatorBlock:
 
     @classmethod
     def identity(cls, d: int) -> "OperatorBlock":
-        return cls(np.eye(d))
+        return cls(np.eye(_integer(d, "dim", 1)))
 
     @classmethod
     def zero(cls, d: int) -> "OperatorBlock":
-        return cls(np.zeros((d, d)))
+        return cls(np.zeros((_integer(d, "dim", 1),) * 2))
 
     @classmethod
     def outer(cls, x: np.ndarray, y: np.ndarray) -> "OperatorBlock":
@@ -124,7 +142,7 @@ class BlockVector:
 
     @classmethod
     def from_flat(cls, flat: np.ndarray, d: int) -> "BlockVector":
-        flat = np.asarray(flat, dtype=complex)
+        flat, d = np.asarray(flat, dtype=complex), _integer(d, "dim", 1)
         if flat.ndim != 1 or flat.size % d:
             raise DimensionMismatchError(flat.shape, (d,), "unflatten")
         return cls(flat.reshape(-1, d))
@@ -132,6 +150,10 @@ class BlockVector:
     @classmethod
     def basis(cls, size: int, d: int, slot: int, part: np.ndarray) -> "BlockVector":
         """Vector with ``part`` in position ``slot`` and zeros elsewhere."""
+        size, d = _integer(size, "size", 1), _integer(d, "dim", 1)
+        slot = _integer(slot, "slot")
+        if not 0 <= slot < size:
+            raise IndexError(f"slot {slot} outside [0, {size})")
         out = np.zeros((size, d), dtype=complex)
         out[slot] = np.asarray(part, dtype=complex)
         return cls(out)

@@ -20,8 +20,9 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from .blocks import _integer
 from .errors import DimensionMismatchError, StructureError
-from .matrices import BlockMatrix, _integer, scale_diagonals
+from .matrices import BlockMatrix, scale_diagonals
 
 __all__ = [
     "TORUS_GRID_POINTS",

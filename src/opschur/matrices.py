@@ -6,14 +6,15 @@ contributes to the k-th slot, so diagonal offset ``l = j - k`` indexes
 the upper-right diagonals for ``l > 0``.  Indices are 0-based
 throughout.
 
-Storage comes in two forms.  ``dense`` keeps the full (N, N, d, d)
-array; ``toeplitz`` and ``banded`` keep a run of blocks per stored
-offset: (N - |l|, d, d), or (1, d, d) when the block is constant along
-its diagonal, which every toeplitz diagonal is and a banded one may be.
-Every reader broadcasts a run of one block, so every diagonal-wise
-operation serves both storages with one code path.  Only the symbol
-bridge and serialization read the toeplitz tag as more than a storage
-choice.
+Storage comes in two forms.  ``dense`` keeps the (N d) x (N d)
+flattening, the scalar matrix acting on flattened vectors, and
+:meth:`BlockMatrix.blocks` is an (N, N, d, d) view of it; ``toeplitz``
+and ``banded`` keep a run of blocks per stored offset: (N - |l|, d, d),
+or (1, d, d) when the block is constant along its diagonal, which
+every toeplitz diagonal is and a banded one may be.  Every reader
+broadcasts a run of one block, so every diagonal-wise operation serves
+both storages with one code path.  Only the symbol bridge and
+serialization read the toeplitz tag as more than a storage choice.
 Structure tags are advisory, for storage and speed only: semantic
 equality is entry-wise and is tested with :func:`allclose`, which
 erases structure before comparing.  Whether a matrix is upper
@@ -25,12 +26,11 @@ be shared freely across threads.
 
 from __future__ import annotations
 
-import operator
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .blocks import BlockVector, OperatorBlock
+from .blocks import BlockVector, OperatorBlock, _integer
 from .errors import (
     CoefficientSupportError,
     DiagonalRangeError,
@@ -67,18 +67,6 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=complex)
     out.flags.writeable = False
     return out
-
-
-def _integer(value, what: str) -> int:
-    """An offset or size ``what`` as an int; a non-integer is refused,
-    never truncated onto a neighbouring value.  A bool is refused too,
-    although ``operator.index(True)`` is 1."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        return operator.index(value)
-    except TypeError:
-        raise StructureError(f"{what} {value!r} is not an integer") from None
 
 
 def _compose(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -132,11 +120,14 @@ class BlockMatrix:
 
     @classmethod
     def dense(cls, blocks) -> "BlockMatrix":
-        """Build from a full (N, N, d, d) complex array."""
-        arr = _frozen(blocks)
+        """Build from a full (N, N, d, d) complex array, copied once into
+        the flattened storage; later writes to ``blocks`` do not reach it."""
+        arr = np.asarray(blocks, dtype=complex)
         if arr.ndim != 4 or arr.shape[0] != arr.shape[1] or arr.shape[2] != arr.shape[3]:
             raise DimensionMismatchError(arr.shape, ("N", "N", "d", "d"), "dense blocks")
-        return cls._new(DENSE, arr.shape[0], arr.shape[2], dense=arr)
+        n, d = arr.shape[0], arr.shape[2]
+        flat = np.array(arr.transpose(0, 2, 1, 3), order="C").reshape(n * d, n * d)
+        return cls._from_dense(flat, n, d)
 
     @classmethod
     def toeplitz(cls, coefficients: Mapping[int, np.ndarray], size: int) -> "BlockMatrix":
@@ -197,10 +188,10 @@ class BlockMatrix:
         return cls.toeplitz({0: np.eye(_integer(dim, "dim"))}, size)
 
     @classmethod
-    def _from_dense(cls, blocks: np.ndarray) -> "BlockMatrix":
-        """Dense matrix owning the fresh (N, N, d, d) complex array ``blocks``."""
-        blocks.flags.writeable = False
-        return cls._new(DENSE, blocks.shape[0], blocks.shape[2], dense=blocks)
+    def _from_dense(cls, flat: np.ndarray, size: int, dim: int) -> "BlockMatrix":
+        """Dense matrix owning the fresh (N d) x (N d) complex array ``flat``."""
+        flat.flags.writeable = False
+        return cls._new(DENSE, size, dim, dense=flat)
 
     @classmethod
     def _from_runs(cls, structure: str, size: int, dim: int, runs: dict) -> "BlockMatrix":
@@ -286,28 +277,35 @@ class BlockMatrix:
         (1, d, d) zero when the diagonal is not stored, the full diagonal
         for dense."""
         if self._structure == DENSE:
-            return self._dense.diagonal(offset).transpose(2, 0, 1)
+            return self.blocks().diagonal(offset).transpose(2, 0, 1)
         run = self._diagonals.get(offset)
         if run is None:
             return np.zeros((1, self._dim, self._dim), dtype=complex)
         return run
 
     def blocks(self) -> np.ndarray:
-        """Dense (N, N, d, d) materialization; cached, read-only."""
+        """Dense (N, N, d, d) form, read-only: for dense storage a view of
+        :meth:`flatten`, for structured storage built once and cached."""
+        n, d = self._size, self._dim
         if self._structure == DENSE:
-            return self._dense
+            return self._dense.reshape(n, d, n, d).transpose(0, 2, 1, 3)
         cached = self._cache.get("dense")
         if cached is None:
-            out = np.zeros((self._size, self._size, self._dim, self._dim), dtype=complex)
+            out = np.zeros((n, n, d, d), dtype=complex)
             for offset, run in self._diagonals.items():
-                rows = np.arange(max(0, -offset), self._size - max(0, offset))
+                rows = np.arange(max(0, -offset), n - max(0, offset))
                 out[rows, rows + offset] = run
             cached = _frozen(out)
             self._cache["dense"] = cached
         return cached
 
     def flatten(self) -> np.ndarray:
-        """The (N d) x (N d) scalar matrix acting on flattened vectors."""
+        """The (N d) x (N d) scalar matrix acting on flattened vectors.
+
+        For a dense matrix this undoes the view of :meth:`blocks`, so it is
+        the read-only storage itself, never a copy; a structured matrix
+        gets a fresh array built from its cached :meth:`blocks`.
+        """
         n, d = self._size, self._dim
         return self.blocks().transpose(0, 2, 1, 3).reshape(n * d, n * d)
 
@@ -360,7 +358,7 @@ def _combine(a: BlockMatrix, b: BlockMatrix, op) -> BlockMatrix:
     """Entrywise binary combination with the usual structure promotion."""
     a._check_same_shape(b, "entrywise combination")
     if DENSE in (a.structure, b.structure):
-        return BlockMatrix._from_dense(op(a.blocks(), b.blocks()))
+        return BlockMatrix._from_dense(op(a.flatten(), b.flatten()), a.size, a.dim)
     support = sorted(set(a.diagonal_support()) | set(b.diagonal_support()))
     runs = {l: op(a._run(l), b._run(l)) for l in support}
     return BlockMatrix._from_runs(_joint_structure(a, b), a.size, a.dim, runs)
@@ -380,8 +378,10 @@ def schur_product(a: BlockMatrix, b: BlockMatrix) -> BlockMatrix:
     support = sorted(set(a.diagonal_support()) & set(b.diagonal_support()))
     if structure == BANDED and len(support) == 2 * a.size - 1:
         n, d = a.size, a.dim
-        out = _compose(a.blocks().reshape(n * n, d, d), b.blocks().reshape(n * n, d, d))
-        return BlockMatrix._from_dense(out.reshape(n, n, d, d))
+        # each operand's blocks copied once, batch axis last, as _compose reads them
+        out = _compose(*(np.ascontiguousarray(m.blocks().transpose(2, 3, 0, 1))
+                         .reshape(d, d, n * n).transpose(2, 0, 1) for m in (a, b)))
+        return BlockMatrix.dense(out.reshape(n, n, d, d))
     runs = {l: _compose(a._run(l), b._run(l)) for l in support}
     return BlockMatrix._from_runs(structure, a.size, a.dim, runs)
 
@@ -393,7 +393,7 @@ def apply(a: BlockMatrix, x: BlockVector) -> BlockVector:
     toeplitz matrices never materialize their dense form here: a
     constant diagonal (a run of one block) is one BLAS product with it,
     any other run one einsum.  A dense matrix is one product with its
-    flattening.
+    stored flattening, which is never copied.
     """
     if x.size != a.size or x.dim != a.dim:
         raise DimensionMismatchError((a.size, a.dim), (x.size, x.dim), "apply")
@@ -416,7 +416,7 @@ def adjoint(a: BlockMatrix) -> BlockMatrix:
     diagonal at offset ``l`` to the adjoints of the one at ``-l``.
     """
     if a.structure == DENSE:
-        return BlockMatrix._from_dense(np.conj(a._dense.transpose(1, 0, 3, 2), order="C"))
+        return BlockMatrix._from_dense(np.conj(a._dense.T, order="C"), a.size, a.dim)
     flipped = {-l: run.conj().transpose(0, 2, 1) for l, run in a._diagonals.items()}
     return BlockMatrix._from_runs(a.structure, a.size, a.dim, flipped)
 
@@ -462,7 +462,7 @@ def truncate(a: BlockMatrix, size: int) -> BlockMatrix:
     if size == a.size:
         return a
     if a.structure == DENSE:
-        return BlockMatrix.dense(a._dense[:size, :size])
+        return BlockMatrix.dense(a.blocks()[:size, :size])
     kept = {
         l: run[: size - abs(l)] for l, run in a._diagonals.items() if abs(l) < size
     }
@@ -486,7 +486,8 @@ def scale_diagonals(a: BlockMatrix, weight, support=None) -> BlockMatrix:
         index = np.arange(a.size)
         weights = weight(np.arange(1 - a.size, a.size))
         gathered = weights[index[None, :] - index[:, None] + a.size - 1]
-        return BlockMatrix._from_dense(a.blocks() * gathered[:, :, None, None])
+        scaled = a._dense.reshape(a.size, a.dim, a.size, a.dim) * gathered[:, None, :, None]
+        return BlockMatrix._from_dense(scaled.reshape(a._dense.shape), a.size, a.dim)
     weights = weight(np.array(kept, dtype=int))
     runs = {l: w * a._run(l) for l, w in zip(kept, weights)}
     return BlockMatrix._from_runs(_joint_structure(a, a), a.size, a.dim, runs)

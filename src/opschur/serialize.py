@@ -63,9 +63,9 @@ def load_json(path):
 
 
 def _pairs(arr) -> list:
-    """Nested lists of ``[real, imag]`` Python floats, one pair per entry."""
-    arr = np.ascontiguousarray(arr, dtype=complex)
-    return arr.view(float).reshape(*arr.shape, 2).tolist()
+    """Nested lists of ``[real, imag]`` Python floats, one pair per entry,
+    read through a view of ``arr``, which is not copied."""
+    return np.asarray(arr, dtype=complex)[..., None].view(float).tolist()
 
 
 def _require(payload: dict, field: str, kind: type | None = None):

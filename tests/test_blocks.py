@@ -10,7 +10,7 @@ from opschur.blocks import (
     singular_triples,
     singular_values,
 )
-from opschur.errors import DimensionMismatchError
+from opschur.errors import DimensionMismatchError, StructureError
 
 from oracles import gaussian, matmul_reference
 
@@ -94,6 +94,35 @@ class TestOperatorBlock:
         b = OperatorBlock.identity(2)
         with pytest.raises(ValueError):
             b.matrix[0, 0] = 5.0
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: OperatorBlock.identity(2.5), StructureError, "^dim 2.5 is not an integer$"),
+        (lambda: OperatorBlock.identity(True), StructureError, "^dim True is not an integer$"),
+        (lambda: OperatorBlock.identity(0), StructureError, "^dim must be at least 1, got 0$"),
+        (lambda: OperatorBlock.zero(2.5), StructureError, "^dim 2.5 is not an integer$"),
+        (lambda: BlockVector.basis(2.5, 2, 0, [1, 2]), StructureError,
+         "^size 2.5 is not an integer$"),
+        (lambda: BlockVector.basis(4, 2, 1.5, [1, 2]), StructureError,
+         "^slot 1.5 is not an integer$"),
+        (lambda: BlockVector.basis(4, 2, True, [1, 2]), StructureError,
+         "^slot True is not an integer$"),
+        (lambda: BlockVector.basis(4, 2, 7, [1, 2]), IndexError, r"^slot 7 outside \[0, 4\)$"),
+        (lambda: BlockVector.basis(4, 2, -1, [1, 2]), IndexError, r"^slot -1 outside \[0, 4\)$"),
+        (lambda: BlockVector.from_flat(np.ones(4), 0), StructureError,
+         "^dim must be at least 1, got 0$"),
+    ],
+    ids=["identity-float", "identity-bool", "identity-zero", "zero-float",
+         "basis-float-size", "basis-float-slot", "basis-bool-slot", "basis-slot-past-end",
+         "basis-negative-slot", "from-flat-zero-dim"],
+)
+def test_sizes_and_slots_are_checked(build, error, message):
+    # like BlockMatrix.entry: a non-integer is refused, never truncated
+    # or wrapped, and an integer slot outside [0, size) is an IndexError
+    with pytest.raises(error, match=message):
+        build()
 
 
 class TestBlockVector:

@@ -15,6 +15,7 @@ from opschur.errors import (
     StructureError,
 )
 from opschur.kernels import ScalarSymbol, smooth
+from opschur.norms import op_norm
 from opschur.matrices import (
     BANDED,
     DENSE,
@@ -210,6 +211,46 @@ class TestFlatten:
     def test_flatten_of_diagonal(self):
         a = BlockMatrix.toeplitz({0: np.diag([2.0, 3.0])}, 2)
         np.testing.assert_array_equal(a.flatten(), np.diag([2.0, 3.0, 2.0, 3.0]))
+
+
+class TestDenseStorage:
+    """A dense matrix stores its flattening once and reads it in place."""
+
+    def test_flatten_is_the_stored_array(self):
+        a = random_dense(5, 2, np.random.default_rng(40))
+        flat = a.flatten()
+        assert not flat.flags.writeable
+        assert np.shares_memory(flat, a.flatten())
+        assert np.shares_memory(flat, a.blocks()) and not a.blocks().flags.writeable
+
+    @pytest.mark.parametrize("size, dim", [(5, 2), (5, 1), (1, 3)])
+    def test_dense_copies_its_input(self, size, dim):
+        # with d = 1 or N = 1 the block transposition is a no-op, so a
+        # reshape of the input would alias it
+        blocks = gaussian(np.random.default_rng(41), (size, size, dim, dim))
+        a = BlockMatrix.dense(blocks)
+        want = blocks.copy()
+        blocks[...] = 0
+        assert np.array_equal(a.blocks(), want)
+
+    @staticmethod
+    def _peak(call) -> int:
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_apply_does_not_copy_the_matrix(self):
+        rng = np.random.default_rng(42)
+        a = random_dense(256, 2, rng)  # 4 MiB flattening
+        x = random_vector(256, 2, rng)
+        assert self._peak(lambda: apply(a, x)) < 16 * 512**2 // 4
+
+    def test_op_norm_does_not_copy_the_matrix(self):
+        a = random_dense(300, 2, np.random.default_rng(0))
+        assert self._peak(lambda: op_norm(a)) < 16 * 600**2 // 2
 
 
 class TestSchurProduct:
