@@ -171,6 +171,9 @@ class BlockVector:
         return self._v.shape[1]
 
     def block(self, k: int) -> np.ndarray:
+        k = _integer(k, "slot")
+        if not 0 <= k < self.size:
+            raise IndexError(f"slot {k} outside [0, {self.size})")
         return self._v[k]
 
     def flatten(self) -> np.ndarray:

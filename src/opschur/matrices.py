@@ -6,12 +6,14 @@ contributes to the k-th slot, so diagonal offset ``l = j - k`` indexes
 the upper-right diagonals for ``l > 0``.  Indices are 0-based
 throughout.
 
-Storage comes in two forms.  ``dense`` keeps the (N d) x (N d)
-flattening, the scalar matrix acting on flattened vectors, and
-:meth:`BlockMatrix.blocks` is an (N, N, d, d) view of it; ``toeplitz``
-and ``banded`` keep a run of blocks per stored offset: (N - |l|, d, d),
-or (1, d, d) when the block is constant along its diagonal, which
-every toeplitz diagonal is and a banded one may be.  Every reader
+Every matrix has one dense form: the read-only (N d) x (N d)
+flattening, the scalar matrix acting on flattened vectors, which
+:meth:`BlockMatrix.flatten` returns and :meth:`BlockMatrix.blocks`
+views as (N, N, d, d).  ``dense`` storage is that array alone;
+``toeplitz`` and ``banded`` keep a run of blocks per stored offset,
+(N - |l|, d, d), or (1, d, d) when the block is constant along its
+diagonal, which every toeplitz diagonal is and a banded one may be,
+and build the dense form once, on demand.  Every reader
 broadcasts a run of one block, so every diagonal-wise operation serves
 both storages with one code path.  Only the symbol bridge and
 serialization read the toeplitz tag as more than a storage choice.
@@ -63,12 +65,6 @@ TOEPLITZ = "toeplitz"
 BANDED = "banded"
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=complex)
-    out.flags.writeable = False
-    return out
-
-
 def _compose(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Block products ``x[k] @ y[k]`` of two (K, d, d) stacks, as a fresh
     array; a stack of one block broadcasts against the other.
@@ -93,27 +89,26 @@ def _compose(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 class BlockMatrix:
     """Immutable N x N matrix of d x d operator blocks."""
 
-    __slots__ = ("_size", "_dim", "_structure", "_dense", "_diagonals", "_cache")
+    __slots__ = ("_size", "_dim", "_structure", "_diagonals", "_cache")
 
     def __init__(self, *args, **kwargs):
         raise StructureError("BlockMatrix is not built directly: use BlockMatrix.dense, "
                              ".toeplitz, .banded or .identity, or the random_* builders")
 
     @classmethod
-    def _new(cls, structure: str, size: int, dim: int, dense=None,
-             diagonals=None) -> "BlockMatrix":
+    def _new(cls, structure: str, size: int, dim: int, diagonals=None,
+             dense=None) -> "BlockMatrix":
         """The one constructor behind every builder; the integer size and
-        dim and the storage are checked by the caller, and the storage is
-        owned by the new matrix."""
+        dim and the storage, runs or a read-only flattening cached as the
+        dense form, are checked by the caller and owned by the new matrix."""
         if size < 1 or dim < 1:
             raise StructureError(f"size and dim must be at least 1, got {size} and {dim}")
         self = object.__new__(cls)
         self._size = size
         self._dim = dim
         self._structure = structure
-        self._dense = dense
         self._diagonals = diagonals
-        self._cache = {}
+        self._cache = {} if dense is None else {"dense": dense}
         return self
 
     # -- constructors -------------------------------------------------
@@ -148,15 +143,15 @@ class BlockMatrix:
                 raise CoefficientSupportError(
                     offset, (-(size - 1), size - 1), "toeplitz coefficients"
                 )
-            arr = np.asarray(block, dtype=complex)
+            arr = np.array(block, dtype=complex)
             if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
                 raise DimensionMismatchError(arr.shape, ("d", "d"), "toeplitz block")
             if dim is None:
                 dim = arr.shape[0]
             elif arr.shape[0] != dim:
                 raise DimensionMismatchError(arr.shape, (dim, dim), "toeplitz block")
-            stored[offset] = _frozen(arr[None])
-        return cls._new(TOEPLITZ, size, dim, diagonals=stored)
+            stored[offset] = arr[None]
+        return cls._from_runs(TOEPLITZ, size, dim, stored)
 
     @classmethod
     def banded(cls, diagonals: Mapping[int, np.ndarray], size: int) -> "BlockMatrix":
@@ -170,7 +165,7 @@ class BlockMatrix:
             offset = _integer(offset, "banded offset")
             if abs(offset) > size - 1:
                 raise DiagonalRangeError(offset, size)
-            arr = _frozen(np.asarray(run, dtype=complex))
+            arr = np.array(run, dtype=complex)
             want = size - abs(offset)
             if arr.ndim != 3 or arr.shape[0] != want or arr.shape[1] != arr.shape[2]:
                 raise DimensionMismatchError(
@@ -181,7 +176,7 @@ class BlockMatrix:
             elif arr.shape[1] != dim:
                 raise DimensionMismatchError(arr.shape, (want, dim, dim), "banded block")
             stored[offset] = arr
-        return cls._new(BANDED, size, dim, diagonals=stored)
+        return cls._from_runs(BANDED, size, dim, stored)
 
     @classmethod
     def identity(cls, size: int, dim: int) -> "BlockMatrix":
@@ -284,30 +279,30 @@ class BlockMatrix:
         return run
 
     def blocks(self) -> np.ndarray:
-        """Dense (N, N, d, d) form, read-only: for dense storage a view of
-        :meth:`flatten`, for structured storage built once and cached."""
+        """Dense (N, N, d, d) form: a read-only view of :meth:`flatten`.
+
+        Structured storage writes its runs straight into a fresh
+        flattening on the first call, and caches it.
+        """
         n, d = self._size, self._dim
-        if self._structure == DENSE:
-            return self._dense.reshape(n, d, n, d).transpose(0, 2, 1, 3)
-        cached = self._cache.get("dense")
-        if cached is None:
-            out = np.zeros((n, n, d, d), dtype=complex)
+        flat = self._cache.get("dense")
+        if flat is None:
+            flat = np.zeros((n * d, n * d), dtype=complex)
+            view = flat.reshape(n, d, n, d).transpose(0, 2, 1, 3)
             for offset, run in self._diagonals.items():
                 rows = np.arange(max(0, -offset), n - max(0, offset))
-                out[rows, rows + offset] = run
-            cached = _frozen(out)
-            self._cache["dense"] = cached
-        return cached
+                view[rows, rows + offset] = run
+            flat.flags.writeable = False
+            self._cache["dense"] = flat
+        return flat.reshape(n, d, n, d).transpose(0, 2, 1, 3)
 
     def flatten(self) -> np.ndarray:
         """The (N d) x (N d) scalar matrix acting on flattened vectors.
 
-        For a dense matrix this undoes the view of :meth:`blocks`, so it is
-        the read-only storage itself, never a copy; a structured matrix
-        gets a fresh array built from its cached :meth:`blocks`.
+        This undoes the view of :meth:`blocks`, so for every storage it is
+        the stored read-only array itself, never a copy.
         """
-        n, d = self._size, self._dim
-        return self.blocks().transpose(0, 2, 1, 3).reshape(n * d, n * d)
+        return self.blocks().transpose(0, 2, 1, 3).reshape((self.flat_size,) * 2)
 
     def diagonal_norms(self) -> list[float]:
         """Largest block operator norm on each diagonal of the support, in
@@ -416,7 +411,7 @@ def adjoint(a: BlockMatrix) -> BlockMatrix:
     diagonal at offset ``l`` to the adjoints of the one at ``-l``.
     """
     if a.structure == DENSE:
-        return BlockMatrix._from_dense(np.conj(a._dense.T, order="C"), a.size, a.dim)
+        return BlockMatrix._from_dense(np.conj(a.flatten().T, order="C"), a.size, a.dim)
     flipped = {-l: run.conj().transpose(0, 2, 1) for l, run in a._diagonals.items()}
     return BlockMatrix._from_runs(a.structure, a.size, a.dim, flipped)
 
@@ -486,8 +481,9 @@ def scale_diagonals(a: BlockMatrix, weight, support=None) -> BlockMatrix:
         index = np.arange(a.size)
         weights = weight(np.arange(1 - a.size, a.size))
         gathered = weights[index[None, :] - index[:, None] + a.size - 1]
-        scaled = a._dense.reshape(a.size, a.dim, a.size, a.dim) * gathered[:, None, :, None]
-        return BlockMatrix._from_dense(scaled.reshape(a._dense.shape), a.size, a.dim)
+        flat = a.flatten()
+        scaled = flat.reshape(a.size, a.dim, a.size, a.dim) * gathered[:, None, :, None]
+        return BlockMatrix._from_dense(scaled.reshape(flat.shape), a.size, a.dim)
     weights = weight(np.array(kept, dtype=int))
     runs = {l: w * a._run(l) for l, w in zip(kept, weights)}
     return BlockMatrix._from_runs(_joint_structure(a, a), a.size, a.dim, runs)
@@ -506,7 +502,7 @@ def allclose(a: BlockMatrix, b: BlockMatrix, tol: float = 1e-12) -> bool:
 def _as_rng(rng) -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
         return rng
-    return np.random.default_rng(rng)
+    return np.random.default_rng(_integer(rng, "seed", 0))
 
 
 def _gaussian(rng: np.random.Generator, shape) -> np.ndarray:
@@ -527,6 +523,7 @@ def random_toeplitz(
     Each stored block is scaled by ``decay ** |offset|``.
     """
     rng, dim = _as_rng(rng), _integer(dim, "dim")
+    offsets = [_integer(l, "toeplitz offset") for l in offsets]
     coeffs = {l: decay ** abs(l) * _gaussian(rng, (dim, dim)) for l in offsets}
     return BlockMatrix.toeplitz(coeffs, size)
 

@@ -113,10 +113,20 @@ class TestOperatorBlock:
         (lambda: BlockVector.basis(4, 2, -1, [1, 2]), IndexError, r"^slot -1 outside \[0, 4\)$"),
         (lambda: BlockVector.from_flat(np.ones(4), 0), StructureError,
          "^dim must be at least 1, got 0$"),
+        # numpy's IndexError, and a (1, N, d) array for True
+        (lambda: BlockVector(np.ones((4, 2))).block(2.5), StructureError,
+         "^slot 2.5 is not an integer$"),
+        (lambda: BlockVector(np.ones((4, 2))).block(True), StructureError,
+         "^slot True is not an integer$"),
+        (lambda: BlockVector(np.ones((4, 2))).block(4), IndexError,
+         r"^slot 4 outside \[0, 4\)$"),
+        (lambda: BlockVector(np.ones((4, 2))).block(-1), IndexError,
+         r"^slot -1 outside \[0, 4\)$"),
     ],
     ids=["identity-float", "identity-bool", "identity-zero", "zero-float",
          "basis-float-size", "basis-float-slot", "basis-bool-slot", "basis-slot-past-end",
-         "basis-negative-slot", "from-flat-zero-dim"],
+         "basis-negative-slot", "from-flat-zero-dim", "block-float-slot", "block-bool-slot",
+         "block-slot-past-end", "block-negative-slot"],
 )
 def test_sizes_and_slots_are_checked(build, error, message):
     # like BlockMatrix.entry: a non-integer is refused, never truncated

@@ -90,9 +90,13 @@ class TestConstruction:
          lambda: random_toeplitz(4, 2, 0, [0.5, 0.7]),
          # read as offset 1, and numpy's TypeError
          lambda: BlockMatrix.identity(4, 2).diagonal_run(True),
-         lambda: diagonal(BlockMatrix.identity(4, 2), 0.5)],
+         lambda: diagonal(BlockMatrix.identity(4, 2), 0.5),
+         # a bare TypeError from abs(), before any block was drawn
+         lambda: random_toeplitz(4, 2, 0, ["2"]),
+         lambda: random_toeplitz(4, 2, 0, [None])],
         ids=["toeplitz", "banded", "string", "True", "random_toeplitz",
-             "diagonal_run-True", "diagonal-float"],
+             "diagonal_run-True", "diagonal-float", "random_toeplitz-string",
+             "random_toeplitz-None"],
     )
     def test_non_integer_offsets_are_refused(self, build):
         with pytest.raises(StructureError, match="offset .* is not an integer"):
@@ -180,21 +184,28 @@ class TestConstruction:
             build()
 
     @pytest.mark.parametrize(
-        "build, what",
-        [(lambda: random_dense(4, 2.5, 0), "dim 2.5"),
-         (lambda: random_dense(4.5, 2, 0), "size 4.5"),
-         (lambda: random_banded(4.5, 2, 0, (0, 1)), "size 4.5"),
-         (lambda: random_banded(4, 2.5, 0, (0, 1)), "dim 2.5"),
-         (lambda: random_vector(4, 2.5, 0), "dim 2.5"),
-         (lambda: random_vector(True, 2, 0), "size True"),
-         (lambda: random_toeplitz(4, 2.5, 0, [0]), "dim 2.5"),
-         (lambda: random_toeplitz(4.5, 2, 0, [0]), "size 4.5")],
+        "build, message",
+        [(lambda: random_dense(4, 2.5, 0), "dim 2.5 is not an integer"),
+         (lambda: random_dense(4.5, 2, 0), "size 4.5 is not an integer"),
+         (lambda: random_banded(4.5, 2, 0, (0, 1)), "size 4.5 is not an integer"),
+         (lambda: random_banded(4, 2.5, 0, (0, 1)), "dim 2.5 is not an integer"),
+         (lambda: random_vector(4, 2.5, 0), "dim 2.5 is not an integer"),
+         (lambda: random_vector(True, 2, 0), "size True is not an integer"),
+         (lambda: random_toeplitz(4, 2.5, 0, [0]), "dim 2.5 is not an integer"),
+         (lambda: random_toeplitz(4.5, 2, 0, [0]), "size 4.5 is not an integer"),
+         # a seed that is not a Generator: numpy's TypeError, its bare
+         # ValueError, and True silently seeding 1
+         (lambda: random_dense(4, 2, 2.5), "seed 2.5 is not an integer"),
+         (lambda: random_dense(4, 2, "2"), "seed '2' is not an integer"),
+         (lambda: random_dense(4, 2, -1), "seed must be at least 0, got -1"),
+         (lambda: random_dense(4, 2, True), "seed True is not an integer")],
         ids=["dense-dim", "dense-size", "banded-size", "banded-dim", "vector-dim",
-             "vector-bool-size", "toeplitz-dim", "toeplitz-size"],
+             "vector-bool-size", "toeplitz-dim", "toeplitz-size", "dense-float-seed",
+             "dense-string-seed", "dense-negative-seed", "dense-bool-seed"],
     )
-    def test_random_builders_refuse_non_integer_size_and_dim(self, build, what):
-        # checked before the Gaussian draw, which raised numpy's TypeError
-        with pytest.raises(StructureError, match=f"^{what} is not an integer$"):
+    def test_random_builders_refuse_non_integer_size_and_dim(self, build, message):
+        # checked before the Gaussian draw, which raised numpy's errors
+        with pytest.raises(StructureError, match=f"^{message}$"):
             build()
 
 
@@ -214,7 +225,7 @@ class TestFlatten:
 
 
 class TestDenseStorage:
-    """A dense matrix stores its flattening once and reads it in place."""
+    """Every matrix keeps one read-only flattening and reads it in place."""
 
     def test_flatten_is_the_stored_array(self):
         a = random_dense(5, 2, np.random.default_rng(40))
@@ -251,6 +262,25 @@ class TestDenseStorage:
     def test_op_norm_does_not_copy_the_matrix(self):
         a = random_dense(300, 2, np.random.default_rng(0))
         assert self._peak(lambda: op_norm(a)) < 16 * 600**2 // 2
+
+    @pytest.mark.parametrize("kind", [TOEPLITZ, BANDED])
+    def test_structured_flatten_is_the_cached_array(self, kind):
+        a = _sample(kind, np.random.default_rng(43))
+        flat = a.flatten()
+        assert not flat.flags.writeable
+        assert np.shares_memory(flat, a.flatten())
+        assert np.shares_memory(a.flatten(), a.blocks())
+
+    def test_combine_reads_both_flattenings_in_place(self):
+        rng = np.random.default_rng(44)
+        a = random_dense(256, 2, rng)  # 4 MiB flattening
+        t = random_toeplitz(256, 2, rng, range(-2, 3))
+        # the toeplitz flattening and the sum, with no transposing copy
+        assert self._peak(lambda: a + t) < 10 * 2**20
+
+    def test_structured_blocks_build_one_array(self):
+        b = random_banded(256, 2, np.random.default_rng(45), (-2, 2))
+        assert self._peak(b.blocks) < 6 * 2**20
 
 
 class TestSchurProduct:
