@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .blocks import OperatorBlock, _integer, singular_triples
+from .blocks import OperatorBlock, _complex, _each, _integer, _real, singular_triples
 from .errors import (
     CoefficientSupportError,
     DimensionMismatchError,
@@ -108,6 +108,7 @@ def _profile_verdict(
     """Distances ``|smooth(a, family(i)) - a|`` along ``indices``, with the
     default tolerance of :func:`smoothing_profile` and the verdict of
     :class:`ConvergenceProfile`."""
+    tolerance = None if tolerance is None else _real(tolerance, "tolerance")
     reference = op_norm(a).value
     if tolerance is None:
         tolerance = RELATIVE_PROFILE_TOLERANCE * reference
@@ -124,7 +125,7 @@ def _profile_verdict(
     return ConvergenceProfile(
         indices=tuple(float(i) for i in indices),
         distances=tuple(float(d) for d in distances),
-        tolerance=float(tolerance),
+        tolerance=tolerance,
         reference_norm=float(reference),
         converged=converged,
         threshold_index=None if threshold_pos is None else float(indices[threshold_pos]),
@@ -139,7 +140,7 @@ def modulate(a: BlockMatrix, angle: float) -> BlockMatrix:
     ``e^{i j angle} Id``, so every singular value of the truncation is
     left unchanged.  The storage structure is preserved.
     """
-    angle = float(angle)
+    angle = _real(angle, "angle")
     return scale_diagonals(a, lambda offsets: np.exp(1j * angle * offsets))
 
 
@@ -154,7 +155,7 @@ def smoothing_profile(
     The default tolerance is ``RELATIVE_PROFILE_TOLERANCE`` times the
     operator norm of ``a``.
     """
-    orders = [_count(n, "profile order") for n in orders]
+    orders = _each(orders, "profile order", _count)
     if not orders:
         raise ValueError("smoothing profile needs at least one order")
     return _profile_verdict(a, kernel, orders, tolerance)
@@ -289,7 +290,7 @@ def _random_parts(rng: np.random.Generator, dim: int, max_degree: int) -> dict:
 
 
 def _analytic_weights(a: BlockMatrix, z: complex):
-    z = complex(z)
+    z = _complex(z, "point")
     if abs(z) >= 1.0:
         raise DiscDomainError(z)
     if not a.upper_triangular:
@@ -349,7 +350,7 @@ def boundary_profile(
     constant in the angle, so a small grid suffices.  The Poisson
     distances default to the tolerance of :func:`smoothing_profile`.
     """
-    radii = tuple(float(r) for r in radii)
+    radii = _each(radii, "radius", _real)
     if not radii:
         raise ValueError("boundary profile needs at least one radius")
     profile = _profile_verdict(a, ScalarSymbol.poisson, radii, tolerance)

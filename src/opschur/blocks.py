@@ -11,7 +11,9 @@ object.
 
 from __future__ import annotations
 
+import numbers
 import operator
+from contextlib import suppress
 
 import numpy as np
 
@@ -26,8 +28,21 @@ __all__ = [
 ]
 
 
+def _numeric(values, what: str) -> np.ndarray:
+    """``values`` as an array of integers, reals or complex numbers, not
+    copied when it already is one; bool, string and object entries, and
+    ragged nesting, are refused rather than cast."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:
+        raise StructureError(f"{what} entries are not a regular array") from None
+    if arr.dtype.kind not in "iufc":
+        raise StructureError(f"{what} entries must be numbers, not {arr.dtype}")
+    return arr
+
+
 def _frozen_complex(values, shape_hint: str) -> np.ndarray:
-    arr = np.array(values, dtype=complex)
+    arr = np.array(_numeric(values, shape_hint), dtype=complex)
     arr.flags.writeable = False
     if arr.size == 0:
         raise ValueError(f"{shape_hint} must be non-empty")
@@ -48,6 +63,32 @@ def _integer(value, what: str, least: int | None = None) -> int:
     if least is not None and value < least:
         raise StructureError(f"{what} must be at least {least}, got {value}")
     return value
+
+
+def _complex(value, what: str) -> complex:
+    """A finite complex number ``what``; like :func:`_integer`, a bool, a
+    string, None or any other non-number is refused, never cast."""
+    if isinstance(value, numbers.Complex) and not isinstance(value, bool):
+        with suppress(OverflowError):
+            if np.isfinite(number := complex(value)):
+                return number
+    raise StructureError(f"{what} {value!r} is not a finite number")
+
+
+def _real(value, what: str) -> float:
+    """A finite real number ``what`` as a float, refused as by :func:`_complex`."""
+    if not isinstance(value, numbers.Real):
+        raise StructureError(f"{what} {value!r} is not a real number")
+    return _complex(value, what).real
+
+
+def _each(values, what: str, check) -> tuple:
+    """``check(item, what)`` of every item of ``values``; a non-iterable is refused."""
+    try:
+        items = iter(values)
+    except TypeError:
+        raise StructureError(f"{what} sequence {values!r} is not iterable") from None
+    return tuple(check(item, what) for item in items)
 
 
 def inner(u: np.ndarray, v: np.ndarray) -> complex:
@@ -81,8 +122,8 @@ class OperatorBlock:
         Its operator norm is ``|x| * |y|`` and its adjoint is
         ``outer(y, x)``.
         """
-        x = np.asarray(x, dtype=complex)
-        y = np.asarray(y, dtype=complex)
+        x = np.asarray(_numeric(x, "rank-one factor"), dtype=complex)
+        y = np.asarray(_numeric(y, "rank-one factor"), dtype=complex)
         if x.shape != y.shape or x.ndim != 1:
             raise DimensionMismatchError(x.shape, y.shape, "rank-one block")
         return cls(np.outer(y, x.conj()))
@@ -142,7 +183,8 @@ class BlockVector:
 
     @classmethod
     def from_flat(cls, flat: np.ndarray, d: int) -> "BlockVector":
-        flat, d = np.asarray(flat, dtype=complex), _integer(d, "dim", 1)
+        flat = np.asarray(_numeric(flat, "flat vector"), dtype=complex)
+        d = _integer(d, "dim", 1)
         if flat.ndim != 1 or flat.size % d:
             raise DimensionMismatchError(flat.shape, (d,), "unflatten")
         return cls(flat.reshape(-1, d))
@@ -155,7 +197,7 @@ class BlockVector:
         if not 0 <= slot < size:
             raise IndexError(f"slot {slot} outside [0, {size})")
         out = np.zeros((size, d), dtype=complex)
-        out[slot] = np.asarray(part, dtype=complex)
+        out[slot] = _numeric(part, "basis part")
         return cls(out)
 
     @property

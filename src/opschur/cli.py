@@ -13,7 +13,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import serialize
+from . import matrices
 from .errors import NonConvergenceError, SerializationError
 from .experiments import (
     TOLERANCE_KEYS,
@@ -144,11 +144,9 @@ def _run_command(args, parser: _Parser) -> int:
         parser.error("--N must be at least 2")
     if args.seed < 0:
         parser.error("--seed must be non-negative")
-    # the experiments flatten N x N matrices of d x d blocks to (N d)^2 complex
-    dense_bytes = 16 * (args.size * args.dim) ** 2
-    if dense_bytes > serialize.DENSE_BYTES_LIMIT:
-        parser.error(f"--N {args.size} with --d {args.dim} needs {dense_bytes} bytes"
-                     f" per dense matrix, over the limit of {serialize.DENSE_BYTES_LIMIT}")
+    if needed := matrices.dense_excess(args.size, args.dim):  # the experiments flatten
+        parser.error(f"--N {args.size} with --d {args.dim} needs {needed} bytes per"
+                     f" dense matrix, over the limit of {matrices.DENSE_BYTES_LIMIT}")
     out_dir = Path(args.out if args.out is not None
                    else os.environ.get(OUTPUT_DIR_VARIABLE, "opschur-out"))
     try:

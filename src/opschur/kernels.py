@@ -20,7 +20,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .blocks import _integer
+from .blocks import _each, _integer, _numeric, _real
 from .errors import DimensionMismatchError, StructureError
 from .matrices import BlockMatrix, scale_diagonals
 
@@ -81,7 +81,8 @@ class _TrigPolynomial:
         if not coefficients:
             raise ValueError(f"{self._noun} needs at least one coefficient")
         parts = {
-            _integer(l, f"{self._noun} offset"): np.asarray(c, dtype=complex)
+            _integer(l, f"{self._noun} offset"):
+                np.asarray(_numeric(c, self._part), dtype=complex)
             for l, c in coefficients.items()
         }
         offsets = sorted(parts)
@@ -197,7 +198,7 @@ class PoissonSymbol(ScalarSymbol):
     degree = None
 
     def __init__(self, r: float):
-        r = float(r)
+        r = _real(r, "poisson radius")
         if not 0.0 <= r < 1.0:
             raise ValueError(f"poisson radius must lie in [0, 1), got {r}")
         self._r = r
@@ -269,6 +270,7 @@ def mask(symbol: ScalarSymbol, size: int, dim: int) -> BlockMatrix:
 
 def modulation_mask(angle: float, size: int, dim: int) -> BlockMatrix:
     """Mask with unimodular coefficients ``e^{i l angle}`` on diagonal ``l``."""
+    angle = _real(angle, "angle")
     return scale_diagonals(_all_ones(size, dim), lambda l: np.exp(1j * angle * l))
 
 
@@ -366,11 +368,12 @@ def kernel_axiom_check(
     the kernel over ``delta <= |t| <= pi`` against normalized arc
     length.
     """
-    orders = sorted(_count(n, "kernel order") for n in orders)
+    orders = sorted(_each(orders, "kernel order", _count))
     if not orders:
         raise ValueError("kernel_axiom_check needs at least one order")
+    deltas = _each(deltas, "tail delta", _real)
     t = torus_grid()
-    tail_masks = [np.abs(t) >= float(delta) for delta in deltas]
+    tail_masks = [np.abs(t) >= delta for delta in deltas]
     rows = []
     for n in orders:
         vals = kernel(n).values(t)
@@ -388,7 +391,7 @@ def kernel_axiom_check(
     )
     return KernelAxiomReport(
         kernel_name=kernel.name,
-        deltas=tuple(float(d) for d in deltas),
+        deltas=deltas,
         rows=tuple(rows),
         mean_one=mean_one,
         uniform_l1=uniform_l1,

@@ -32,7 +32,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .blocks import BlockVector, OperatorBlock, _integer
+from .blocks import BlockVector, OperatorBlock, _complex, _each, _integer, _numeric, _real
 from .errors import (
     CoefficientSupportError,
     DiagonalRangeError,
@@ -63,6 +63,15 @@ __all__ = [
 DENSE = "dense"
 TOEPLITZ = "toeplitz"
 BANDED = "banded"
+
+# Most bytes of a dense form that the CLI, convert --densify or op_norm's fallback builds.
+DENSE_BYTES_LIMIT = 2**26
+
+
+def dense_excess(size: int, dim: int) -> int:
+    """The dense form's bytes, ``16 (N d)^2``, if over ``DENSE_BYTES_LIMIT``; else 0."""
+    needed = 16 * (size * dim) ** 2
+    return needed if needed > DENSE_BYTES_LIMIT else 0
 
 
 def _compose(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -117,7 +126,7 @@ class BlockMatrix:
     def dense(cls, blocks) -> "BlockMatrix":
         """Build from a full (N, N, d, d) complex array, copied once into
         the flattened storage; later writes to ``blocks`` do not reach it."""
-        arr = np.asarray(blocks, dtype=complex)
+        arr = np.asarray(_numeric(blocks, "dense"), dtype=complex)
         if arr.ndim != 4 or arr.shape[0] != arr.shape[1] or arr.shape[2] != arr.shape[3]:
             raise DimensionMismatchError(arr.shape, ("N", "N", "d", "d"), "dense blocks")
         n, d = arr.shape[0], arr.shape[2]
@@ -143,7 +152,7 @@ class BlockMatrix:
                 raise CoefficientSupportError(
                     offset, (-(size - 1), size - 1), "toeplitz coefficients"
                 )
-            arr = np.array(block, dtype=complex)
+            arr = np.array(_numeric(block, "toeplitz block"), dtype=complex)
             if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
                 raise DimensionMismatchError(arr.shape, ("d", "d"), "toeplitz block")
             if dim is None:
@@ -165,7 +174,7 @@ class BlockMatrix:
             offset = _integer(offset, "banded offset")
             if abs(offset) > size - 1:
                 raise DiagonalRangeError(offset, size)
-            arr = np.array(run, dtype=complex)
+            arr = np.array(_numeric(run, "banded diagonal"), dtype=complex)
             want = size - abs(offset)
             if arr.ndim != 3 or arr.shape[0] != want or arr.shape[1] != arr.shape[2]:
                 raise DimensionMismatchError(
@@ -331,6 +340,7 @@ class BlockMatrix:
         return _combine(self, other, np.subtract)
 
     def __mul__(self, scalar: complex) -> "BlockMatrix":
+        scalar = _complex(scalar, "scalar")
         return scale_diagonals(
             self, lambda offsets: np.full(offsets.shape, scalar, dtype=complex)
         )
@@ -442,10 +452,10 @@ def tensor_scalar(scalar_matrix: np.ndarray, t) -> BlockMatrix:
     operator norm factors exactly as ``|a| * |t|``.  ``t`` may be an
     OperatorBlock or a plain square array.
     """
-    arr = np.asarray(scalar_matrix, dtype=complex)
+    arr = np.asarray(_numeric(scalar_matrix, "scalar matrix"), dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionMismatchError(arr.shape, ("N", "N"), "tensor scalar")
-    block = t.matrix if isinstance(t, OperatorBlock) else np.asarray(t, complex)
+    block = (t if isinstance(t, OperatorBlock) else OperatorBlock(t)).matrix
     return BlockMatrix.dense(np.einsum("kj,ab->kjab", arr, block))
 
 
@@ -475,6 +485,8 @@ def scale_diagonals(a: BlockMatrix, weight, support=None) -> BlockMatrix:
     dense only when it keeps all ``2N - 1`` diagonals; otherwise the
     result is banded, or toeplitz for a toeplitz input.
     """
+    if not callable(weight):
+        raise StructureError(f"diagonal weight {weight!r} is not callable")
     kept = [l for l in a.diagonal_support() if support is None or l in support]
     if a.structure == DENSE and len(kept) == 2 * a.size - 1:
         # entry (k, j) takes the weight of offset j - k, at position j - k + N - 1
@@ -491,6 +503,7 @@ def scale_diagonals(a: BlockMatrix, weight, support=None) -> BlockMatrix:
 
 def allclose(a: BlockMatrix, b: BlockMatrix, tol: float = 1e-12) -> bool:
     """Entrywise comparison that ignores storage structure."""
+    tol = _real(tol, "tolerance")
     if a.size != b.size or a.dim != b.dim:
         return False
     return bool(np.max(np.abs(a.blocks() - b.blocks())) <= tol)
@@ -522,8 +535,8 @@ def random_toeplitz(
 
     Each stored block is scaled by ``decay ** |offset|``.
     """
-    rng, dim = _as_rng(rng), _integer(dim, "dim")
-    offsets = [_integer(l, "toeplitz offset") for l in offsets]
+    dim, offsets = _integer(dim, "dim"), _each(offsets, "toeplitz offset", _integer)
+    decay, rng = _real(decay, "decay"), _as_rng(rng)
     coeffs = {l: decay ** abs(l) * _gaussian(rng, (dim, dim)) for l in offsets}
     return BlockMatrix.toeplitz(coeffs, size)
 
@@ -536,10 +549,11 @@ def random_banded(
     Each diagonal is scaled by ``decay ** |offset|``; ``decay < 1``
     concentrates mass near the main diagonal.
     """
-    rng, size, dim = _as_rng(rng), _integer(size, "size"), _integer(dim, "dim")
-    lo, hi = (_integer(bound, "band bound") for bound in bounds)
+    size, dim, decay = _integer(size, "size"), _integer(dim, "dim"), _real(decay, "decay")
+    lo, hi = _each(bounds, "band bound", _integer)
     if lo > hi:
         raise ValueError(f"empty band {bounds}")
+    rng = _as_rng(rng)
     diags = {
         l: decay ** abs(l) * _gaussian(rng, (size - abs(l), dim, dim))
         for l in range(lo, hi + 1)

@@ -11,6 +11,7 @@ reported as exact.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
@@ -26,6 +27,7 @@ from .matrices import (
     _gaussian,
     adjoint,
     apply,
+    dense_excess,
     random_dense,
     random_vector,
     rank_one,
@@ -158,13 +160,12 @@ def op_norm(a: BlockMatrix) -> NormEstimate:
     vector; the value and certificate keep the same meaning and rule.
     Dense matrices and wider bands get ``min(flat_size,
     EXACT_SVD_LIMIT)`` steps.  Whatever does not converge takes the
-    exact path up to side ``8 * EXACT_SVD_LIMIT``.
+    exact path while its dense form fits ``matrices.DENSE_BYTES_LIMIT``.
 
     Raises
     ------
     NonConvergenceError
-        When neither Lanczos nor the shift-and-invert finish converges
-        on a matrix of side above ``8 * EXACT_SVD_LIMIT``.
+        Before any dense form, when nothing converges and it would not fit.
     """
     if a.flat_size <= EXACT_SVD_LIMIT:
         return _exact_estimate(a)
@@ -173,15 +174,12 @@ def op_norm(a: BlockMatrix) -> NormEstimate:
     vector, iterations, converged = _lanczos(gram, a.flat_size, steps)
     kind = "lanczos"
     if not converged and band is not None:
-        try:
+        with suppress(NonConvergenceError):  # a failed finish falls back like Lanczos
             vector, iterations = _shift_invert(band, vector, iterations)
             kind, converged = "shift_invert", True
-        except NonConvergenceError:
-            if a.flat_size > 8 * EXACT_SVD_LIMIT:
-                raise
     if not converged:
-        if a.flat_size > 8 * EXACT_SVD_LIMIT:
-            raise NonConvergenceError(steps, "lanczos")
+        if needed := dense_excess(a.size, a.dim):
+            raise NonConvergenceError(steps, f"lanczos; the exact path needs {needed} bytes")
         return _exact_estimate(a)
     return NormEstimate(
         value=float(np.linalg.norm(forward(vector))), kind=kind,

@@ -22,6 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import matrices
 from .errors import SerializationError
 from .matrices import BANDED, DENSE, TOEPLITZ, BlockMatrix
 
@@ -38,11 +39,6 @@ __all__ = [
 ]
 
 CSV_SIGNIFICANT_DIGITS = 12
-
-# Largest dense array, ``(N d)^2`` complex numbers of 16 bytes, that
-# ``convert(..., densify=True)`` builds; writing its payload peaks at about
-# 16 times that (nested float lists, then the JSON text).
-DENSE_BYTES_LIMIT = 2**26
 
 
 def dumps_canonical(payload) -> str:
@@ -274,15 +270,14 @@ def convert(in_path, out_path, densify: bool = False) -> BlockMatrix:
 
     Without ``densify`` the canonical output bytes reproduce the input
     exactly (for canonical input), since structure tags and stored
-    supports are preserved.  With ``densify``, a size whose dense array
-    would exceed ``DENSE_BYTES_LIMIT`` raises SerializationError for ``N``.
+    supports are preserved.  With ``densify``, a dense array over
+    ``matrices.DENSE_BYTES_LIMIT`` raises SerializationError for ``N``.
     """
     matrix = matrix_from_payload(load_json(in_path))
     if densify:
-        needed = 16 * (matrix.size * matrix.dim) ** 2
-        if needed > DENSE_BYTES_LIMIT:
-            raise SerializationError("N", f"a dense copy needs {needed} bytes, "
-                                          f"over the limit of {DENSE_BYTES_LIMIT}")
+        if needed := matrices.dense_excess(matrix.size, matrix.dim):
+            raise SerializationError("N", f"a dense copy needs {needed} bytes, over "
+                                          f"the limit of {matrices.DENSE_BYTES_LIMIT}")
         matrix = BlockMatrix.dense(matrix.blocks())
     save_json(out_path, matrix_to_payload(matrix))
     return matrix

@@ -1,0 +1,106 @@
+"""Public entries refuse a malformed parameter with the package's own
+error, before they allocate anything.
+
+One row per call: a real or complex scalar that is a string, None, a bool
+or not finite, a sequence that is not iterable, a weight that is not
+callable, or an entry array of strings, bools or objects, or ragged.  Each refusal
+is a :class:`StructureError`; none is numpy's or Python's bare error, and
+none is a silent cast."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from opschur.analysis import (
+    OperatorSymbol,
+    analytic_eval,
+    boundary_profile,
+    modulate,
+    smoothing_profile,
+    symbol_analytic_eval,
+)
+from opschur.blocks import BlockVector, OperatorBlock
+from opschur.errors import DiscDomainError, StructureError
+from opschur.kernels import ScalarSymbol, fejer_family, kernel_axiom_check, modulation_mask
+from opschur.matrices import (
+    BlockMatrix,
+    allclose,
+    random_banded,
+    random_toeplitz,
+    scale_diagonals,
+    tensor_scalar,
+)
+
+# upper triangular and toeplitz, so every row below reaches its check
+A = BlockMatrix.identity(4, 2)
+EYE = np.eye(2)
+
+ROWS = {
+    # real scalars
+    "poisson-string": lambda: ScalarSymbol.poisson("x"),
+    "poisson-none": lambda: ScalarSymbol.poisson(None),
+    "modulate-string": lambda: modulate(A, "x"),
+    "modulate-bool": lambda: modulate(A, True),
+    "modulate-nan": lambda: modulate(A, float("nan")),
+    "modulation-mask-string": lambda: modulation_mask("x", 4, 2),
+    "boundary-radius-string": lambda: boundary_profile(A, ["x"]),
+    "toeplitz-decay-string": lambda: random_toeplitz(4, 2, 0, [0], decay="x"),
+    "banded-decay-string": lambda: random_banded(4, 2, 0, (0, 1), decay="x"),
+    "allclose-tol-string": lambda: allclose(A, A, tol="x"),
+    "allclose-tol-none": lambda: allclose(A, A, tol=None),
+    "profile-tolerance-string":
+        lambda: smoothing_profile(A, fejer_family(), [1], tolerance="x"),
+    "axiom-delta-string": lambda: kernel_axiom_check(fejer_family(), [1], deltas=["x"]),
+    # complex scalars
+    "analytic-eval-none": lambda: analytic_eval(A, None),
+    "analytic-eval-string": lambda: analytic_eval(A, "x"),
+    "symbol-analytic-eval-string": lambda: symbol_analytic_eval(A, "x"),
+    "scalar-multiple-string": lambda: A * "x",
+    # sequences
+    "banded-bounds-none": lambda: random_banded(4, 2, 0, None),
+    "toeplitz-offsets-none": lambda: random_toeplitz(4, 2, 0, None),
+    "boundary-radii-none": lambda: boundary_profile(A, None),
+    "profile-orders-none": lambda: smoothing_profile(A, fejer_family(), None),
+    "axiom-orders-none": lambda: kernel_axiom_check(fejer_family(), None),
+    # callables
+    "scale-diagonals-weight-string": lambda: scale_diagonals(A, "x"),
+    # entry arrays
+    "dense-string": lambda: BlockMatrix.dense("x"),
+    "toeplitz-block-string": lambda: BlockMatrix.toeplitz({0: "x"}, 4),
+    "banded-run-string": lambda: BlockMatrix.banded({0: [[["x"]]]}, 1),
+    "operator-block-string": lambda: OperatorBlock("x"),
+    "block-vector-string": lambda: BlockVector("x"),
+    "operator-symbol-string": lambda: OperatorSymbol({0: "x"}),
+    "trig-polynomial-string": lambda: ScalarSymbol.trig_polynomial({0: "x"}),
+    "tensor-scalar-string": lambda: tensor_scalar("x", EYE),
+    "trig-polynomial-numeric-string": lambda: ScalarSymbol.trig_polynomial({0: "1.5"}),
+    "operator-block-numeric-strings": lambda: OperatorBlock([["1", "2"], ["3", "4"]]),
+    "block-vector-bools": lambda: BlockVector([[True, False]]),
+    "operator-block-ragged": lambda: OperatorBlock([[1, 2], [3]]),
+    "rank-one-factor-string": lambda: OperatorBlock.outer("x", "y"),
+    "flat-vector-string": lambda: BlockVector.from_flat("x", 2),
+    "basis-part-string": lambda: BlockVector.basis(4, 2, 0, "x"),
+}
+
+
+@pytest.mark.parametrize("call", ROWS.values(), ids=ROWS.keys())
+def test_refused_before_allocating(call):
+    tracemalloc.start()
+    try:
+        with pytest.raises(StructureError):
+            call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the exception and its message; no array of the call's size
+    assert peak < 10_000
+
+
+def test_range_errors_keep_their_types():
+    with pytest.raises(ValueError) as err:
+        ScalarSymbol.poisson(1.0)
+    assert type(err.value) is ValueError
+    with pytest.raises(ValueError) as err:
+        analytic_eval(A, 1.5)
+    assert type(err.value) is DiscDomainError

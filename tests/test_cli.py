@@ -6,11 +6,11 @@ import sys
 import numpy as np
 import pytest
 
-from opschur import cli, serialize
-from opschur.matrices import random_toeplitz
+from opschur import cli, matrices
+from opschur.matrices import DENSE_BYTES_LIMIT, random_toeplitz
 
 from test_serialize import MALFORMED, UNDECODABLE, _toeplitz_payload
-from opschur.serialize import DENSE_BYTES_LIMIT, matrix_to_payload, save_json
+from opschur.serialize import matrix_to_payload, save_json
 
 
 def run_cli(*args, env=None):
@@ -121,13 +121,13 @@ class TestConfigErrors:
 
     def test_size_over_the_dense_limit_is_refused(self, tmp_path, monkeypatch):
         # 16 (N d)^2 = 16384 bytes at the default N=16, d=2
-        monkeypatch.setattr(serialize, "DENSE_BYTES_LIMIT", 16383)
+        monkeypatch.setattr(matrices, "DENSE_BYTES_LIMIT", 16383)
         with pytest.raises(SystemExit) as exit_info:
             cli.main(["run", "--experiment", "kernel-axioms",
                       "--out", str(tmp_path / "out")])
         assert exit_info.value.code == 1
         assert not (tmp_path / "out").exists()
-        monkeypatch.setattr(serialize, "DENSE_BYTES_LIMIT", 16384)
+        monkeypatch.setattr(matrices, "DENSE_BYTES_LIMIT", 16384)
         assert cli.main(["run", "--experiment", "kernel-axioms",
                          "--out", str(tmp_path / "out")]) == 0
 

@@ -253,6 +253,10 @@ class TestDenseStorage:
         finally:
             tracemalloc.stop()
 
+    def test_dense_copies_a_complex_input_once(self):
+        blocks = gaussian(np.random.default_rng(46), (256, 256, 2, 2))  # 4 MiB
+        assert self._peak(lambda: BlockMatrix.dense(blocks)) < 5 * 2**20
+
     def test_apply_does_not_copy_the_matrix(self):
         rng = np.random.default_rng(42)
         a = random_dense(256, 2, rng)  # 4 MiB flattening

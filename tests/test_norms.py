@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opschur import norms
+from opschur import matrices, norms
 from opschur.blocks import BlockVector
 from opschur.errors import NonConvergenceError
 from opschur.kernels import ScalarSymbol, mask
@@ -137,13 +137,15 @@ class TestLanczos:
         assert estimate.kind == "exact_svd"
         assert float(estimate) == pytest.approx(spectral_norm(a.flatten()), rel=1e-12)
 
-    def test_cap_raises_above_eight_times_the_limit(self, monkeypatch):
+    def test_cap_raises_above_the_dense_limit(self, monkeypatch):
         monkeypatch.setattr(norms, "EXACT_SVD_LIMIT", 4)
+        # the 40 x 40 dense form holds 16 * 40**2 bytes, one over the limit
+        monkeypatch.setattr(matrices, "DENSE_BYTES_LIMIT", 16 * 40**2 - 1)
         a = random_dense(20, 2, np.random.default_rng(15))
-        assert a.flat_size > 8 * 4
         with pytest.raises(NonConvergenceError) as err:
             op_norm(a)
         assert err.value.iteration_cap == 4
+        assert "needs 25600 bytes" in str(err.value)
 
 
 def _smooth_toeplitz(size):
@@ -298,6 +300,8 @@ class TestShiftInvert:
 
     def test_band_too_wide_raises_before_allocating(self, monkeypatch):
         monkeypatch.setattr(norms, "EXACT_SVD_LIMIT", 4)
+        # the 400-side dense form is over the limit: no exact fallback either
+        monkeypatch.setattr(matrices, "DENSE_BYTES_LIMIT", 16 * 400**2 - 1)
 
         def refuse(*args):
             raise AssertionError("super-blocks allocated")
@@ -315,9 +319,23 @@ class TestShiftInvert:
         assert estimate.kind == "exact_svd"
         oracle = spectral_norm(a.flatten())
         assert abs(estimate.value - oracle) <= 1e-12 * oracle
-        # above side 8 * EXACT_SVD_LIMIT nothing is left to fall back on
+        # a dense form over matrices.DENSE_BYTES_LIMIT leaves nothing to fall back on
         with pytest.raises(NonConvergenceError):
             op_norm(_smooth_toeplitz(2100))
+
+    def test_failed_finish_over_the_dense_limit_raises(self, monkeypatch):
+        # the 600 x 600 dense form holds 5,760,000 bytes, one over the limit
+        monkeypatch.setattr(matrices, "DENSE_BYTES_LIMIT", 16 * 600**2 - 1)
+        monkeypatch.setattr(norms, "_FACTORIZATION_CAP", 0)
+
+        def refuse(a):
+            raise AssertionError("exact path taken")
+
+        monkeypatch.setattr(norms, "_exact_estimate", refuse)
+        monkeypatch.setattr(BlockMatrix, "blocks", refuse)
+        with pytest.raises(NonConvergenceError) as err:
+            op_norm(_smooth_toeplitz(300))
+        assert "needs 5760000 bytes" in str(err.value)
 
 
 class TestPowerIteration:

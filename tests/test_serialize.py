@@ -7,6 +7,7 @@ import pytest
 from opschur import cli
 from opschur.errors import SerializationError
 from opschur.matrices import (
+    DENSE_BYTES_LIMIT,
     BlockMatrix,
     allclose,
     random_banded,
@@ -14,7 +15,6 @@ from opschur.matrices import (
     random_toeplitz,
 )
 from opschur.serialize import (
-    DENSE_BYTES_LIMIT,
     convert,
     dumps_canonical,
     format_cell,
