@@ -63,7 +63,7 @@ class OperatorSymbol(_TrigPolynomial):
     _part = "symbol block"
 
     def eval(self, t: float) -> OperatorBlock:
-        return OperatorBlock(self.values(np.array([float(t)]))[0])
+        return OperatorBlock(self.values(np.array([_real(t, "angle")]))[0])
 
 
 class VectorPolynomial(_TrigPolynomial):

@@ -93,7 +93,7 @@ def _each(values, what: str, check) -> tuple:
 
 def inner(u: np.ndarray, v: np.ndarray) -> complex:
     """Inner product on C^d, linear in the first argument."""
-    return complex(np.vdot(v, u))
+    return complex(np.vdot(_numeric(v, "vector"), _numeric(u, "vector")))
 
 
 class OperatorBlock:
@@ -162,6 +162,7 @@ class OperatorBlock:
         return OperatorBlock(self._m - other._m)
 
     def __mul__(self, scalar: complex) -> "OperatorBlock":
+        _complex(scalar, "scalar")  # checked only: a real scalar keeps its signed zeros
         return OperatorBlock(self._m * scalar)
 
     __rmul__ = __mul__
@@ -243,6 +244,7 @@ class BlockVector:
         return BlockVector(self._v - other._v)
 
     def __mul__(self, scalar: complex) -> "BlockVector":
+        _complex(scalar, "scalar")  # checked only: a real scalar keeps its signed zeros
         return BlockVector(self._v * scalar)
 
     __rmul__ = __mul__
@@ -252,7 +254,7 @@ class BlockVector:
 
 
 def _svd(m: np.ndarray, compute_uv: bool, what: str):
-    m = np.atleast_2d(np.asarray(m, dtype=complex))
+    m = np.atleast_2d(np.asarray(_numeric(m, "matrix"), dtype=complex))
     try:
         return np.linalg.svd(m, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:

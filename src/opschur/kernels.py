@@ -140,7 +140,8 @@ class _TrigPolynomial:
     def values(self, t: np.ndarray) -> np.ndarray:
         """Pointwise values, shape ``(len(t),)`` plus the coefficient shape."""
         # offsets x angles: the summation order the recorded experiment bytes use
-        phases = np.exp(1j * np.outer(self._offsets, np.asarray(t, dtype=float)))
+        t = np.asarray(_numeric(t, "angle"), dtype=float)
+        phases = np.exp(1j * np.outer(self._offsets, t))
         flat = self._coeffs.reshape(len(self._offsets), -1).T @ phases
         return flat.T.reshape(-1, *self._coeffs.shape[1:])
 
@@ -214,7 +215,8 @@ class PoissonSymbol(ScalarSymbol):
 
     def values(self, t: np.ndarray) -> np.ndarray:
         r = self._r
-        return ((1 - r * r) / (1 - 2 * r * np.cos(np.asarray(t, float)) + r * r)).astype(complex)
+        t = np.asarray(_numeric(t, "angle"), dtype=float)
+        return ((1 - r * r) / (1 - 2 * r * np.cos(t) + r * r)).astype(complex)
 
     def l1_fourier_norm(self) -> float:
         return (1 + self._r) / (1 - self._r)

@@ -193,7 +193,8 @@ class BlockMatrix:
 
     @classmethod
     def _from_dense(cls, flat: np.ndarray, size: int, dim: int) -> "BlockMatrix":
-        """Dense matrix owning the fresh (N d) x (N d) complex array ``flat``."""
+        """Dense matrix on the (N d) x (N d) complex array ``flat``, made
+        read-only: a fresh array, or the dense form of another matrix."""
         flat.flags.writeable = False
         return cls._new(DENSE, size, dim, dense=flat)
 
@@ -550,7 +551,10 @@ def random_banded(
     concentrates mass near the main diagonal.
     """
     size, dim, decay = _integer(size, "size"), _integer(dim, "dim"), _real(decay, "decay")
-    lo, hi = _each(bounds, "band bound", _integer)
+    bounds = _each(bounds, "band bound", _integer)
+    if len(bounds) != 2:
+        raise StructureError(f"band bounds {bounds} are not one pair (lo, hi)")
+    lo, hi = bounds
     if lo > hi:
         raise ValueError(f"empty band {bounds}")
     rng = _as_rng(rng)

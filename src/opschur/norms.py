@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .blocks import BlockVector, singular_triples
+from .blocks import BlockVector, _numeric, singular_triples
 from .errors import NonConvergenceError
 from .kernels import _count, _spawned_rngs, modulation_mask, torus_grid
 from .matrices import (
@@ -120,7 +120,7 @@ def power_iteration(
     NonConvergenceError
         When the cap is reached first; the error carries the cap.
     """
-    m = np.asarray(m, dtype=complex)
+    m = np.asarray(_numeric(m, "matrix"), dtype=complex)
     max_iter = _count(max_iter, "max_iter", 1)
     rng = np.random.default_rng(_count(seed, "seed"))
     v = rng.standard_normal(m.shape[1]) + 1j * rng.standard_normal(m.shape[1])
@@ -146,11 +146,11 @@ def op_norm(a: BlockMatrix) -> NormEstimate:
     densified: the band of ``A* A`` is built once, as block-tridiagonal
     super-blocks, and every product with ``A* A`` is three batched
     products with them.  Dense matrices use their flattening, and wider
-    bands :func:`apply` on the matrix and its adjoint.  The value is
-    ``|A v|`` for the unit certificate ``v``, from one final product
-    with ``A`` (:func:`apply`, or the flattening of a dense matrix),
-    once the residual ``|A* A v - theta v|`` is at most ``0.1 *
-    POWER_TOLERANCE * theta`` for ``theta = v* A* A v``.
+    bands :func:`apply` on the matrix and its adjoint.  Once the
+    residual ``|A* A v - theta v|`` is at most ``0.1 * POWER_TOLERANCE
+    * theta`` for ``theta = v* A* A v``, the value is ``|apply(a, v)|``
+    for the unit certificate ``v``, whatever the storage: the one
+    product with ``A`` itself.
 
     An admitted band gets 32 Krylov steps.  If the rule has not held by
     then, the top Ritz vector is finished by inverse iteration on ``s I
@@ -158,9 +158,9 @@ def op_norm(a: BlockMatrix) -> NormEstimate:
     Cholesky of the same super-blocks.  A factorization that completes
     proves ``|A|^2 < s``, so the iteration converges to the top singular
     vector; the value and certificate keep the same meaning and rule.
-    Dense matrices and wider bands get ``min(flat_size,
-    EXACT_SVD_LIMIT)`` steps.  Whatever does not converge takes the
-    exact path while its dense form fits ``matrices.DENSE_BYTES_LIMIT``.
+    Dense matrices and wider bands get ``EXACT_SVD_LIMIT`` steps.
+    Whatever does not converge takes the exact path while its dense
+    form fits ``matrices.DENSE_BYTES_LIMIT``.
 
     Raises
     ------
@@ -169,8 +169,8 @@ def op_norm(a: BlockMatrix) -> NormEstimate:
     """
     if a.flat_size <= EXACT_SVD_LIMIT:
         return _exact_estimate(a)
-    forward, gram, band = _products(a)
-    steps = min(a.flat_size, EXACT_SVD_LIMIT) if band is None else _HANDOFF_STEPS
+    gram, band = _gram_operator(a)
+    steps = EXACT_SVD_LIMIT if band is None else _HANDOFF_STEPS
     vector, iterations, converged = _lanczos(gram, a.flat_size, steps)
     kind = "lanczos"
     if not converged and band is not None:
@@ -181,39 +181,29 @@ def op_norm(a: BlockMatrix) -> NormEstimate:
         if needed := dense_excess(a.size, a.dim):
             raise NonConvergenceError(steps, f"lanczos; the exact path needs {needed} bytes")
         return _exact_estimate(a)
-    return NormEstimate(
-        value=float(np.linalg.norm(forward(vector))), kind=kind,
-        certificate=BlockVector.from_flat(vector, a.dim), iterations=iterations,
-    )
+    certificate = BlockVector.from_flat(vector, a.dim)
+    return NormEstimate(value=apply(a, certificate).norm(), kind=kind,
+                        certificate=certificate, iterations=iterations)
 
 
-def _products(a: BlockMatrix) -> tuple[Callable, Callable, tuple | None]:
-    """``x -> A x`` and ``x -> A* A x`` on flat vectors, and the band of
-    ``A* A`` when it is admitted.
+def _gram_operator(a: BlockMatrix) -> tuple[Callable, tuple | None]:
+    """``x -> A* A x`` on flat vectors, and the band of ``A* A`` when it
+    is admitted.
 
     A dense ``a`` multiplies by its flattening.  A banded or toeplitz
-    one goes through :func:`apply` for ``A``.  For ``A* A`` it goes
-    through the super-blocks of :func:`_gram_superblocks` when
-    :func:`_superblock_rows` admits the band (returned as the third
+    one goes through the super-blocks of :func:`_gram_superblocks` when
+    :func:`_superblock_rows` admits the band (returned as the second
     item), else through :func:`apply` on ``a`` and its adjoint (None).
     """
     if a.structure == DENSE:
         flat = a.flatten()
-        return (lambda x: flat @ x), (lambda x: ((flat @ x).conj() @ flat).conj()), None
-
-    def forward(x):
-        return apply(a, BlockVector.from_flat(x, a.dim)).flatten()
-
+        return (lambda x: ((flat @ x).conj() @ flat).conj()), None
     rows = _superblock_rows(a)
     if rows is not None:
         band = _gram_superblocks(a, rows)
-        return forward, partial(_gram_product, band), band
+        return partial(_gram_product, band), band
     a_star = adjoint(a)
-
-    def gram(x):
-        return apply(a_star, BlockVector.from_flat(forward(x), a.dim)).flatten()
-
-    return forward, gram, None
+    return (lambda x: apply(a_star, apply(a, BlockVector.from_flat(x, a.dim))).flatten()), None
 
 
 def _lanczos(gram, n: int, steps: int) -> tuple[np.ndarray, int, bool]:

@@ -4,7 +4,8 @@ Interchange payloads are plain JSON with complex numbers as
 ``[real, imag]`` pairs.  Canonical serialization sorts keys and uses
 compact separators, and floats go through their shortest round-trip
 representation, so load followed by dump reproduces the original bytes
-exactly.  Values must be finite: ``NaN`` and ``Infinity`` are not JSON.
+exactly.  Values must be finite: ``NaN`` and ``Infinity`` are not JSON,
+and both the writer and the reader refuse them.
 Matrix entries are written and read as whole numpy arrays: the
 writer's bytes match a cell-by-cell ``[z.real, z.imag]`` dump exactly,
 signed zeros included; the reader checks a whole array at once, walking it
@@ -42,8 +43,13 @@ CSV_SIGNIFICANT_DIGITS = 12
 
 
 def dumps_canonical(payload) -> str:
-    """Deterministic JSON text: sorted keys, compact, newline-terminated."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    """Deterministic JSON text: sorted keys, compact, newline-terminated;
+    a NaN or infinite float raises SerializationError."""
+    try:
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    except ValueError as exc:
+        raise SerializationError("<document>", str(exc)) from None
+    return text + "\n"
 
 
 def save_json(path, payload) -> None:
@@ -51,11 +57,17 @@ def save_json(path, payload) -> None:
 
 
 def load_json(path):
-    """Parse a UTF-8 JSON file; a document that does not decode is refused."""
+    """Parse a UTF-8 JSON file; a document that does not decode, or that
+    holds ``NaN`` or ``Infinity``, is refused."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"),
+                          parse_constant=_refuse_constant)
     except (ValueError, RecursionError) as exc:  # ValueError covers bad UTF-8 and JSON
         raise SerializationError("<document>", f"invalid JSON: {exc}") from exc
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a finite number")
 
 
 def _pairs(arr) -> list:
@@ -278,6 +290,6 @@ def convert(in_path, out_path, densify: bool = False) -> BlockMatrix:
         if needed := matrices.dense_excess(matrix.size, matrix.dim):
             raise SerializationError("N", f"a dense copy needs {needed} bytes, over "
                                           f"the limit of {matrices.DENSE_BYTES_LIMIT}")
-        matrix = BlockMatrix.dense(matrix.blocks())
+        matrix = BlockMatrix._from_dense(matrix.flatten(), matrix.size, matrix.dim)
     save_json(out_path, matrix_to_payload(matrix))
     return matrix

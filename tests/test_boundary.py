@@ -2,8 +2,9 @@
 error, before they allocate anything.
 
 One row per call: a real or complex scalar that is a string, None, a bool
-or not finite, a sequence that is not iterable, a weight that is not
-callable, or an entry array of strings, bools or objects, or ragged.  Each refusal
+or not finite, a sequence that is not iterable or not one pair, a weight
+that is not callable, or an entry array of strings, bools or objects, or
+ragged, given to a constructor or to a function that reads arrays.  Each refusal
 is a :class:`StructureError`; none is numpy's or Python's bare error, and
 none is a silent cast."""
 
@@ -20,7 +21,7 @@ from opschur.analysis import (
     smoothing_profile,
     symbol_analytic_eval,
 )
-from opschur.blocks import BlockVector, OperatorBlock
+from opschur.blocks import BlockVector, OperatorBlock, inner, singular_values
 from opschur.errors import DiscDomainError, StructureError
 from opschur.kernels import ScalarSymbol, fejer_family, kernel_axiom_check, modulation_mask
 from opschur.matrices import (
@@ -31,10 +32,16 @@ from opschur.matrices import (
     scale_diagonals,
     tensor_scalar,
 )
+from opschur.norms import power_iteration
 
 # upper triangular and toeplitz, so every row below reaches its check
 A = BlockMatrix.identity(4, 2)
 EYE = np.eye(2)
+BLOCK = OperatorBlock(EYE)
+VECTOR = BlockVector([[1.0, 0.0]])
+SYMBOL = OperatorSymbol({0: EYE})
+SCALAR = ScalarSymbol.trig_polynomial({0: 1.0})
+POISSON = ScalarSymbol.poisson(0.5)
 
 ROWS = {
     # real scalars
@@ -57,8 +64,12 @@ ROWS = {
     "analytic-eval-string": lambda: analytic_eval(A, "x"),
     "symbol-analytic-eval-string": lambda: symbol_analytic_eval(A, "x"),
     "scalar-multiple-string": lambda: A * "x",
+    "operator-block-scalar-string": lambda: BLOCK * "x",
+    "block-vector-scalar-string": lambda: VECTOR * "x",
+    "operator-symbol-eval-string": lambda: SYMBOL.eval("x"),
     # sequences
     "banded-bounds-none": lambda: random_banded(4, 2, 0, None),
+    "banded-bounds-triple": lambda: random_banded(4, 2, 0, (0, 1, 2)),
     "toeplitz-offsets-none": lambda: random_toeplitz(4, 2, 0, None),
     "boundary-radii-none": lambda: boundary_profile(A, None),
     "profile-orders-none": lambda: smoothing_profile(A, fejer_family(), None),
@@ -81,6 +92,11 @@ ROWS = {
     "rank-one-factor-string": lambda: OperatorBlock.outer("x", "y"),
     "flat-vector-string": lambda: BlockVector.from_flat("x", 2),
     "basis-part-string": lambda: BlockVector.basis(4, 2, 0, "x"),
+    "power-iteration-string": lambda: power_iteration("x"),
+    "singular-values-string": lambda: singular_values("x"),
+    "inner-strings": lambda: inner("x", "y"),
+    "scalar-symbol-values-string": lambda: SCALAR.values("x"),
+    "poisson-values-string": lambda: POISSON.values("x"),
 }
 
 

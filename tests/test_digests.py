@@ -2,15 +2,14 @@
 
 ``perfbench/digests.json`` holds the SHA-256 of every file that
 ``opschur run --experiment all --format json`` writes, per seed, for one
-numerical platform (numpy and BLAS build).  This test re-runs two seeds
-with one BLAS thread, as the benchmark does, and compares; on another
-platform the recorded bytes do not apply and it skips.
+numerical platform (numpy and BLAS build).  This test compares two seeds
+of the session's suite run (``suite_run`` in ``conftest.py``, one BLAS
+thread, as the benchmark uses); on another platform the recorded bytes do
+not apply and it skips.  ``test_golden.py`` checks the values there.
 """
 
 import hashlib
 import json
-import os
-import subprocess
 import sys
 from pathlib import Path
 
@@ -25,17 +24,11 @@ RECORDED = json.loads((PERFBENCH / "digests.json").read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_suite_reproduces_recorded_digests(seed, tmp_path):
+def test_suite_reproduces_recorded_digests(seed, suite_run):
     here = platform_key()
     if here != RECORDED["platform"]:
         pytest.skip(f"digests recorded on {RECORDED['platform']!r}, this is {here!r}")
-    out = tmp_path / "out"
-    subprocess.run(
-        [sys.executable, "-m", "opschur", "run", "--experiment", "all",
-         "--format", "json", "--seed", str(seed), "--out", str(out)],
-        check=True, capture_output=True,
-        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
-    )
+    out = suite_run(seed)
     got = {path.stem: hashlib.sha256(path.read_bytes()).hexdigest()
            for path in sorted(out.glob("*.json"))}
     assert got == RECORDED["seeds"][str(seed)]

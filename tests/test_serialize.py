@@ -1,10 +1,11 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from opschur import cli
+from opschur import cli, serialize
 from opschur.errors import SerializationError
 from opschur.matrices import (
     DENSE_BYTES_LIMIT,
@@ -317,6 +318,23 @@ class TestConvert:
         assert allclose(out, a, tol=0)
         assert load_json(dst)["structure"] == "dense"
 
+    def test_densify_builds_one_dense_form(self, tmp_path, monkeypatch):
+        # the dense form of a toeplitz N = 256, d = 2 holds 16 * 512**2 bytes,
+        # 4 MiB; a copy of the one blocks() caches would double the peak
+        src = tmp_path / "a.json"
+        save_json(src, matrix_to_payload(random_toeplitz(256, 2, 0, (-1, 0, 1))))
+        written = []
+        monkeypatch.setattr(serialize, "matrix_to_payload", written.append)
+        monkeypatch.setattr(serialize, "save_json", lambda path, payload: None)
+        tracemalloc.start()
+        try:
+            convert(src, tmp_path / "b.json", densify=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert written[0].structure == "dense"
+        assert peak < 5 * 2**20
+
     def test_densify_refuses_size_past_the_limit(self, tmp_path):
         # one size past the largest N whose dense (N d)^2 array fits the limit
         payload = _toeplitz_payload()
@@ -343,6 +361,21 @@ class TestConvert:
         src.write_text(text)
         assert cli.main(["convert", str(src), str(dst)]) == 0
         assert dst.read_text() == text
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_writer_refuses_non_finite_floats(self, value):
+        with pytest.raises(SerializationError) as err:
+            dumps_canonical({"a": [1.0, value]})
+        assert err.value.field == "<document>"
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_reader_refuses_non_finite_literals(self, tmp_path, literal):
+        src = tmp_path / "a.json"
+        src.write_text(f'{{"a":[1.0,{literal}]}}\n')
+        with pytest.raises(SerializationError) as err:
+            load_json(src)
+        assert err.value.field == "<document>"
+        assert literal in str(err.value)
 
     def test_invalid_json_rejected(self, tmp_path):
         src = tmp_path / "bad.json"
