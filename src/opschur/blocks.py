@@ -93,7 +93,10 @@ def _each(values, what: str, check) -> tuple:
 
 def inner(u: np.ndarray, v: np.ndarray) -> complex:
     """Inner product on C^d, linear in the first argument."""
-    return complex(np.vdot(_numeric(v, "vector"), _numeric(u, "vector")))
+    u, v = _numeric(u, "vector"), _numeric(v, "vector")
+    if u.shape != v.shape:
+        raise StructureError(f"inner product of vectors of shapes {u.shape} and {v.shape}")
+    return complex(np.vdot(v, u))
 
 
 class OperatorBlock:
@@ -137,7 +140,7 @@ class OperatorBlock:
         return self._m.shape[0]
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=complex)
+        v = np.asarray(_numeric(v, "vector"), dtype=complex)
         if v.shape != (self.dim,):
             raise DimensionMismatchError(self._m.shape, v.shape, "block apply")
         return self._m @ v

@@ -67,6 +67,15 @@ def _spawned_rngs(seed, trials) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in seeds]
 
 
+def _angles(t) -> np.ndarray:
+    """Angles as a 1-d float array: one angle is one point, and an array
+    of more than one dimension is refused."""
+    t = np.asarray(_numeric(t, "angle"), dtype=float)
+    if t.ndim > 1:
+        raise StructureError(f"angles must be one angle or a 1-d array, got shape {t.shape}")
+    return t.reshape(-1)
+
+
 class _TrigPolynomial:
     """Trig polynomial ``t -> sum_l c_l e^{i l t}``, ``c_l`` of rank ``_rank``.
 
@@ -138,11 +147,18 @@ class _TrigPolynomial:
         return self.coeff_array(offset)[()]
 
     def values(self, t: np.ndarray) -> np.ndarray:
-        """Pointwise values, shape ``(len(t),)`` plus the coefficient shape."""
+        """Pointwise values, shape ``(len(t),)`` plus the coefficient shape.
+
+        ``t`` is one angle or a 1-d array of them.  The phases
+        ``e^{i l t}`` are built in one complex ``offsets x angles``
+        buffer: ``l t`` is written into its imaginary part and
+        exponentiated in place.
+        """
         # offsets x angles: the summation order the recorded experiment bytes use
-        t = np.asarray(_numeric(t, "angle"), dtype=float)
-        phases = np.exp(1j * np.outer(self._offsets, t))
-        flat = self._coeffs.reshape(len(self._offsets), -1).T @ phases
+        t = _angles(t)
+        phases = np.zeros((len(self._offsets), len(t)), dtype=complex)
+        np.multiply.outer(self._offsets, t, out=phases.imag)
+        flat = self._coeffs.reshape(len(self._offsets), -1).T @ np.exp(phases, out=phases)
         return flat.T.reshape(-1, *self._coeffs.shape[1:])
 
     def __repr__(self) -> str:
@@ -215,7 +231,7 @@ class PoissonSymbol(ScalarSymbol):
 
     def values(self, t: np.ndarray) -> np.ndarray:
         r = self._r
-        t = np.asarray(_numeric(t, "angle"), dtype=float)
+        t = _angles(t)
         return ((1 - r * r) / (1 - 2 * r * np.cos(t) + r * r)).astype(complex)
 
     def l1_fourier_norm(self) -> float:

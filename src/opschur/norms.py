@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .blocks import BlockVector, _numeric, singular_triples
-from .errors import NonConvergenceError
+from .errors import NonConvergenceError, StructureError
 from .kernels import _count, _spawned_rngs, modulation_mask, torus_grid
 from .matrices import (
     DENSE,
@@ -111,8 +111,9 @@ def power_iteration(
     Starts from a seeded random unit vector and stops on the rule that
     Lanczos uses: the Rayleigh residual ``|m* m v - mu v|`` at most
     ``0.1 * POWER_TOLERANCE * mu``, which pins the relative error of the
-    returned value well below ``POWER_TOLERANCE``.  ``seed`` and
-    ``max_iter`` must be integers of at least 0 and 1.
+    returned value well below ``POWER_TOLERANCE``.  ``m`` must be a
+    non-empty 2-d array, and ``seed`` and ``max_iter`` integers of at
+    least 0 and 1.
     Returns ``(value, right_vector, iterations)``.
 
     Raises
@@ -120,7 +121,10 @@ def power_iteration(
     NonConvergenceError
         When the cap is reached first; the error carries the cap.
     """
-    m = np.asarray(_numeric(m, "matrix"), dtype=complex)
+    m = _numeric(m, "matrix")
+    if m.ndim != 2 or m.size == 0:
+        raise StructureError(f"power iteration needs a non-empty 2-d matrix, got shape {m.shape}")
+    m = np.asarray(m, dtype=complex)
     max_iter = _count(max_iter, "max_iter", 1)
     rng = np.random.default_rng(_count(seed, "seed"))
     v = rng.standard_normal(m.shape[1]) + 1j * rng.standard_normal(m.shape[1])
@@ -452,7 +456,11 @@ def symbol_sup_norm(symbol) -> NormEstimate:
     points (at least 64; degree None, unbounded support, counts as 0)
     and is doubled until the supremum moves by at most
     ``SUP_REFINEMENT_TOLERANCE`` or the grid reaches ``SUP_GRID_CAP``.
-    The result has kind ``grid_max`` and the final ``grid_points``.
+    The even points of a doubled grid are the old grid, bit for bit, so
+    each doubling evaluates only the new midpoints and keeps the larger
+    maximum: every grid point is evaluated once, and the value is the
+    maximum over the whole final grid.  The result has kind ``grid_max``
+    and the final ``grid_points``.
     """
 
     def point_sups(t: np.ndarray) -> np.ndarray:
@@ -464,13 +472,13 @@ def symbol_sup_norm(symbol) -> NormEstimate:
         return np.abs(vals)
 
     points = max(64, 4 * ((symbol.degree or 0) + 1))
-    previous = np.inf
+    value, previous = float(np.max(point_sups(torus_grid(points)))), np.inf
     while True:
-        value = float(np.max(point_sups(torus_grid(points))))
         if abs(value - previous) <= SUP_REFINEMENT_TOLERANCE or points >= SUP_GRID_CAP:
             return NormEstimate(value=value, kind="grid_max", grid_points=points)
         previous = value
         points *= 2
+        value = float(np.maximum(value, np.max(point_sups(torus_grid(points)[1::2]))))
 
 
 _TRIAL_FAMILIES = ("identity", "dense", "rank_one", "modulation", "diagonal")

@@ -3,10 +3,10 @@ error, before they allocate anything.
 
 One row per call: a real or complex scalar that is a string, None, a bool
 or not finite, a sequence that is not iterable or not one pair, a weight
-that is not callable, or an entry array of strings, bools or objects, or
-ragged, given to a constructor or to a function that reads arrays.  Each refusal
-is a :class:`StructureError`; none is numpy's or Python's bare error, and
-none is a silent cast."""
+that is not callable, or an entry array of strings, bools or objects,
+ragged or of the wrong shape, given to a constructor or to a function
+that reads arrays.  Each refusal is a :class:`StructureError`; none is
+numpy's or Python's bare error, and none is a silent cast."""
 
 import tracemalloc
 
@@ -15,6 +15,7 @@ import pytest
 
 from opschur.analysis import (
     OperatorSymbol,
+    VectorPolynomial,
     analytic_eval,
     boundary_profile,
     modulate,
@@ -40,6 +41,7 @@ EYE = np.eye(2)
 BLOCK = OperatorBlock(EYE)
 VECTOR = BlockVector([[1.0, 0.0]])
 SYMBOL = OperatorSymbol({0: EYE})
+POLYNOMIAL = VectorPolynomial({0: np.ones(2)})
 SCALAR = ScalarSymbol.trig_polynomial({0: 1.0})
 POISSON = ScalarSymbol.poisson(0.5)
 
@@ -97,6 +99,13 @@ ROWS = {
     "inner-strings": lambda: inner("x", "y"),
     "scalar-symbol-values-string": lambda: SCALAR.values("x"),
     "poisson-values-string": lambda: POISSON.values("x"),
+    "scalar-symbol-values-matrix": lambda: SCALAR.values(np.zeros((2, 2))),
+    "poisson-values-matrix": lambda: POISSON.values(np.zeros((2, 2))),
+    "operator-symbol-values-matrix": lambda: SYMBOL.values(np.zeros((2, 2))),
+    "vector-polynomial-values-matrix": lambda: POLYNOMIAL.values(np.zeros((2, 2))),
+    "power-iteration-vector": lambda: power_iteration(np.ones(3)),
+    "inner-shapes": lambda: inner(np.ones(2), np.ones(3)),
+    "operator-block-apply-string": lambda: BLOCK.apply("x"),
 }
 
 

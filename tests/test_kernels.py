@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -105,6 +107,23 @@ class TestScalarSymbol:
             ScalarSymbol.poisson(r).values(t), poisson_values(r, t),
             atol=1e-12,
         )
+
+    def test_values_build_one_phase_buffer(self):
+        # the one (101 x 4096) complex phase buffer is 6.3 MiB
+        t = torus_grid()
+        tracemalloc.start()
+        try:
+            ScalarSymbol.dirichlet(50).values(t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize("symbol", [ScalarSymbol.fejer(2), ScalarSymbol.poisson(0.5)],
+                             ids=["fejer", "poisson"])
+    def test_one_angle_is_one_point(self, symbol):
+        assert symbol.values(0.5).shape == (1,)
+        assert symbol.values(0.5)[0] == symbol.values(np.array([0.5]))[0]
 
     def test_trig_polynomial_round_trip(self):
         coeffs = {-1: 2.0j, 0: 1.0, 3: -0.5}

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opschur import matrices, norms
+from opschur.analysis import OperatorSymbol, VectorPolynomial
 from opschur.blocks import BlockVector
 from opschur.errors import NonConvergenceError
-from opschur.kernels import ScalarSymbol, mask
+from opschur.kernels import ScalarSymbol, mask, torus_grid
 from opschur.matrices import (
     BlockMatrix,
     apply,
@@ -433,6 +434,58 @@ class TestSymbolSupNorm:
         assert result.kind == "grid_max"
         assert result.grid_points >= 64
         assert result.value == pytest.approx(1.0 + 2 * (0.75 + 0.5 + 0.25))
+
+
+def _shifted_dirichlet(part):
+    """``D_4(t - 1/3)`` times ``part``: its peak lies off every torus grid,
+    so the sup search doubles its 64-point grid twice, to 256 points."""
+    return {l: np.exp(-1j * l / 3) * part for l in range(-4, 5)}
+
+
+SUP_SYMBOLS = {
+    "scalar": lambda: ScalarSymbol.trig_polynomial(_shifted_dirichlet(1.0)),
+    "vector": lambda: VectorPolynomial(_shifted_dirichlet(np.array([1.0, 2j]))),
+    "operator": lambda: OperatorSymbol(_shifted_dirichlet(np.array([[1.0, 2j], [0, 0.5]]))),
+    "poisson": lambda: ScalarSymbol.poisson(0.9),
+}
+
+
+class _CountingSymbol:
+    """A symbol that counts the angles passed to its ``values``."""
+
+    def __init__(self, symbol):
+        self.symbol, self.degree, self.angles = symbol, symbol.degree, 0
+
+    def values(self, t):
+        self.angles += len(t)
+        return self.symbol.values(t)
+
+
+class TestSymbolSupNormGrid:
+    @pytest.mark.parametrize("kind", SUP_SYMBOLS)
+    def test_evaluates_each_grid_point_once(self, kind):
+        symbol = _CountingSymbol(SUP_SYMBOLS[kind]())
+        result = symbol_sup_norm(symbol)
+        assert result.grid_points > 64
+        assert symbol.angles == result.grid_points
+
+    @pytest.mark.parametrize("kind", SUP_SYMBOLS)
+    def test_value_is_the_max_over_the_final_grid(self, kind):
+        symbol = SUP_SYMBOLS[kind]()
+        result = symbol_sup_norm(symbol)
+        vals = symbol.values(torus_grid(result.grid_points))
+        pointwise = (np.linalg.norm(vals, ord=2, axis=(1, 2)) if vals.ndim == 3
+                     else np.linalg.norm(vals, axis=-1) if vals.ndim == 2
+                     else np.abs(vals))
+        assert result.value == np.max(pointwise)
+
+    def test_nan_among_new_midpoints_propagates(self):
+        # no grid below 256 points has an angle past 3.1, so the NaN first
+        # appears among a doubling's midpoints, where Python's max would drop it
+        symbol = ScalarSymbol.trig_polynomial(_shifted_dirichlet(1.0))
+        counting = _CountingSymbol(symbol)
+        counting.values = lambda t: np.where(t > 3.1, np.nan, symbol.values(t))
+        assert np.isnan(symbol_sup_norm(counting).value)
 
 
 class TestMultiplierLowerBound:
