@@ -27,8 +27,7 @@ from .errors import (
     DiscDomainError,
     StructureError,
 )
-from .kernels import (ScalarSymbol, SummabilityKernel, _TrigPolynomial, _count,
-                      _spawned_rngs, smooth)
+from .kernels import ScalarSymbol, SummabilityKernel, _TrigPolynomial, _spawned_rngs, smooth
 from .matrices import TOEPLITZ, BlockMatrix, _gaussian, scale_diagonals
 from .norms import NormEstimate, _sampled_lower_bound, op_norm, symbol_sup_norm
 
@@ -63,7 +62,7 @@ class OperatorSymbol(_TrigPolynomial):
     _part = "symbol block"
 
     def eval(self, t: float) -> OperatorBlock:
-        return OperatorBlock(self.values(np.array([_real(t, "angle")]))[0])
+        return OperatorBlock(self.values(_real(t, "angle"))[0])
 
 
 class VectorPolynomial(_TrigPolynomial):
@@ -155,7 +154,7 @@ def smoothing_profile(
     The default tolerance is ``RELATIVE_PROFILE_TOLERANCE`` times the
     operator norm of ``a``.
     """
-    orders = _each(orders, "profile order", _count)
+    orders = _each(orders, "profile order", _integer, 0)
     if not orders:
         raise ValueError("smoothing profile needs at least one order")
     return _profile_verdict(a, kernel, orders, tolerance)
@@ -170,9 +169,7 @@ def dilation_matrix(size: int, dim: int) -> BlockMatrix:
     any two distinct angles, so its smoothing profiles stall.  Row and
     column patterns are disjoint, hence the operator norm is 1.
     """
-    size, dim = _integer(size, "size"), _integer(dim, "dim")
-    if size < 2:
-        raise ValueError(f"dilation matrix needs size >= 2, got {size}")
+    size, dim = _integer(size, "size", 2), _integer(dim, "dim", 1)
     blocks = np.zeros((size, size, dim, dim), dtype=complex)
     eye = np.eye(dim)
     for row in range(size // 2):

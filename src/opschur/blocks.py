@@ -50,9 +50,9 @@ def _frozen_complex(values, shape_hint: str) -> np.ndarray:
 
 
 def _integer(value, what: str, least: int | None = None) -> int:
-    """An offset, index or size ``what`` as an int, of at least ``least``
-    when given; a non-integer is refused, never truncated onto a
-    neighbouring value.  A bool is refused too, although
+    """An offset, index, size, order, seed or count ``what`` as an int, of
+    at least ``least`` when given; a non-integer is refused, never
+    truncated onto a neighbouring value.  A bool is refused too, although
     ``operator.index(True)`` is 1."""
     try:
         if isinstance(value, bool):
@@ -82,13 +82,24 @@ def _real(value, what: str) -> float:
     return _complex(value, what).real
 
 
-def _each(values, what: str, check) -> tuple:
-    """``check(item, what)`` of every item of ``values``; a non-iterable is refused."""
+def _angles(t) -> np.ndarray:
+    """Angles as a 1-d float array, one angle being one point; complex or
+    non-finite angles are refused as by :func:`_real`, and so are arrays
+    of more than one dimension."""
+    t = _numeric(t, "angle")
+    if t.dtype.kind == "c" or t.ndim > 1 or not np.isfinite(t).all():
+        raise StructureError(f"angles must be finite reals, at most 1-d, got {t.dtype} {t.shape}")
+    return np.asarray(t, dtype=float).reshape(-1)
+
+
+def _each(values, what: str, check, *args) -> tuple:
+    """``check(item, what, *args)`` of every item of ``values``, such as
+    a floor or a size; a non-iterable is refused."""
     try:
         items = iter(values)
     except TypeError:
         raise StructureError(f"{what} sequence {values!r} is not iterable") from None
-    return tuple(check(item, what) for item in items)
+    return tuple(check(item, what, *args) for item in items)
 
 
 def inner(u: np.ndarray, v: np.ndarray) -> complex:
@@ -145,10 +156,13 @@ class OperatorBlock:
             raise DimensionMismatchError(self._m.shape, v.shape, "block apply")
         return self._m @ v
 
+    def _check_dim(self, other: "OperatorBlock", context: str) -> None:
+        if self.dim != other.dim:
+            raise DimensionMismatchError(self._m.shape, other._m.shape, context)
+
     def compose(self, other: "OperatorBlock") -> "OperatorBlock":
         """Operator composition ``self after other``."""
-        if self.dim != other.dim:
-            raise DimensionMismatchError(self._m.shape, other._m.shape, "compose")
+        self._check_dim(other, "compose")
         return OperatorBlock(self._m @ other._m)
 
     def adjoint(self) -> "OperatorBlock":
@@ -159,9 +173,11 @@ class OperatorBlock:
         return float(np.linalg.norm(self._m, ord=2))
 
     def __add__(self, other: "OperatorBlock") -> "OperatorBlock":
+        self._check_dim(other, "block sum")
         return OperatorBlock(self._m + other._m)
 
     def __sub__(self, other: "OperatorBlock") -> "OperatorBlock":
+        self._check_dim(other, "block difference")
         return OperatorBlock(self._m - other._m)
 
     def __mul__(self, scalar: complex) -> "OperatorBlock":
@@ -230,8 +246,7 @@ class BlockVector:
 
     def inner(self, other: "BlockVector") -> complex:
         """Sum of the slot-wise C^d inner products, linear in ``self``."""
-        if self._v.shape != other._v.shape:
-            raise DimensionMismatchError(self._v.shape, other._v.shape, "inner")
+        self._check_shape(other, "inner")
         return complex(np.vdot(other._v, self._v))
 
     def _check_shape(self, other: "BlockVector", context: str) -> None:

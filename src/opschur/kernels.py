@@ -20,7 +20,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .blocks import _each, _integer, _numeric, _real
+from .blocks import _angles, _each, _integer, _numeric, _real
 from .errors import DimensionMismatchError, StructureError
 from .matrices import BlockMatrix, scale_diagonals
 
@@ -48,32 +48,11 @@ L1_TOLERANCE = 1e-6
 L1_FLATNESS = 1e-3
 
 
-def _count(n, what: str, least: int = 0) -> int:
-    """An order, index or count ``what`` as an int of at least ``least``;
-    a non-integer, bools included, is refused, never truncated."""
-    try:
-        n = _integer(n, what)
-    except StructureError:
-        raise ValueError(f"{what} must be an integer, got {n!r}") from None
-    if n < least:
-        raise ValueError(f"{what} must be >= {least}, got {n}")
-    return n
-
-
 def _spawned_rngs(seed, trials) -> list[np.random.Generator]:
     """One generator per trial, each from its own child of ``seed``, so
     a trial's draws do not depend on the trials before it."""
-    seeds = np.random.SeedSequence(_count(seed, "seed")).spawn(_count(trials, "trials", 1))
+    seeds = np.random.SeedSequence(_integer(seed, "seed", 0)).spawn(_integer(trials, "trials", 1))
     return [np.random.default_rng(s) for s in seeds]
-
-
-def _angles(t) -> np.ndarray:
-    """Angles as a 1-d float array: one angle is one point, and an array
-    of more than one dimension is refused."""
-    t = np.asarray(_numeric(t, "angle"), dtype=float)
-    if t.ndim > 1:
-        raise StructureError(f"angles must be one angle or a 1-d array, got shape {t.shape}")
-    return t.reshape(-1)
 
 
 class _TrigPolynomial:
@@ -181,7 +160,7 @@ class ScalarSymbol(_TrigPolynomial):
     @classmethod
     def fejer(cls, n: int) -> "ScalarSymbol":
         """Fejer kernel of order ``n``: coefficients ``1 - |l| / (n + 1)``."""
-        n = _count(n, "fejer order n")
+        n = _integer(n, "fejer order n", 0)
         offsets = np.arange(-n, n + 1)
         return cls._from_arrays(offsets, (1.0 - np.abs(offsets) / (n + 1)).astype(complex))
 
@@ -192,7 +171,7 @@ class ScalarSymbol(_TrigPolynomial):
         The classical non-example: its mean is 1 but its L1 norms grow
         without bound, so it fails the uniform-bound axiom.
         """
-        n = _count(n, "dirichlet order n")
+        n = _integer(n, "dirichlet order n", 0)
         return cls._from_arrays(np.arange(-n, n + 1), np.ones(2 * n + 1, dtype=complex))
 
     @staticmethod
@@ -256,7 +235,7 @@ def convolve(a: ScalarSymbol, b: ScalarSymbol) -> ScalarSymbol:
 
 def torus_grid(points: int = TORUS_GRID_POINTS) -> np.ndarray:
     """Uniform grid ``-pi + 2 pi q / points`` for ``q = 0 .. points - 1``."""
-    points = _count(points, "grid points", 2)
+    points = _integer(points, "grid points", 2)
     return -np.pi + 2 * np.pi * np.arange(points) / points
 
 
@@ -272,7 +251,7 @@ def quadrature_mean(values: np.ndarray) -> complex:
 
 def _all_ones(size: int, dim: int) -> BlockMatrix:
     """Toeplitz matrix with ``Id`` on every diagonal of the window."""
-    size, dim = _integer(size, "size"), _integer(dim, "dim")
+    size, dim = _integer(size, "size", 1), _integer(dim, "dim", 1)
     eye = np.eye(dim)
     return BlockMatrix.toeplitz({l: eye for l in range(-(size - 1), size)}, size)
 
@@ -329,7 +308,7 @@ def fejer_family() -> SummabilityKernel:
 
 
 def _poisson_at(n: int) -> ScalarSymbol:
-    return PoissonSymbol(1.0 - 1.0 / _count(n, "poisson family index n", 1))
+    return PoissonSymbol(1.0 - 1.0 / _integer(n, "poisson family index n", 1))
 
 
 def poisson_family() -> SummabilityKernel:
@@ -386,7 +365,7 @@ def kernel_axiom_check(
     the kernel over ``delta <= |t| <= pi`` against normalized arc
     length.
     """
-    orders = sorted(_each(orders, "kernel order", _count))
+    orders = sorted(_each(orders, "kernel order", _integer, 0))
     if not orders:
         raise ValueError("kernel_axiom_check needs at least one order")
     deltas = _each(deltas, "tail delta", _real)

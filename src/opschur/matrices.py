@@ -74,6 +74,20 @@ def dense_excess(size: int, dim: int) -> int:
     return needed if needed > DENSE_BYTES_LIMIT else 0
 
 
+def _toeplitz_offset(offset, what: str, size: int) -> int:
+    """An integer coefficient offset in ``[-(N-1), N-1]``, refused outside, never dropped."""
+    if abs(offset := _integer(offset, what)) > size - 1:
+        raise CoefficientSupportError(offset, (-(size - 1), size - 1), "toeplitz coefficients")
+    return offset
+
+
+def _band_offset(offset, what: str, size: int) -> int:
+    """An integer diagonal offset in ``[-(N-1), N-1]``, refused outside."""
+    if abs(offset := _integer(offset, what)) > size - 1:
+        raise DiagonalRangeError(offset, size)
+    return offset
+
+
 def _compose(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Block products ``x[k] @ y[k]`` of two (K, d, d) stacks, as a fresh
     array; a stack of one block broadcasts against the other.
@@ -107,11 +121,9 @@ class BlockMatrix:
     @classmethod
     def _new(cls, structure: str, size: int, dim: int, diagonals=None,
              dense=None) -> "BlockMatrix":
-        """The one constructor behind every builder; the integer size and
-        dim and the storage, runs or a read-only flattening cached as the
-        dense form, are checked by the caller and owned by the new matrix."""
-        if size < 1 or dim < 1:
-            raise StructureError(f"size and dim must be at least 1, got {size} and {dim}")
+        """The one constructor behind every builder: the caller checks the
+        size and dim, integers of at least 1, and the storage, runs or a
+        read-only flattening cached as the dense form, which the new matrix owns."""
         self = object.__new__(cls)
         self._size = size
         self._dim = dim
@@ -129,7 +141,7 @@ class BlockMatrix:
         arr = np.asarray(_numeric(blocks, "dense"), dtype=complex)
         if arr.ndim != 4 or arr.shape[0] != arr.shape[1] or arr.shape[2] != arr.shape[3]:
             raise DimensionMismatchError(arr.shape, ("N", "N", "d", "d"), "dense blocks")
-        n, d = arr.shape[0], arr.shape[2]
+        n, d = _integer(arr.shape[0], "size", 1), _integer(arr.shape[2], "dim", 1)
         flat = np.array(arr.transpose(0, 2, 1, 3), order="C").reshape(n * d, n * d)
         return cls._from_dense(flat, n, d)
 
@@ -143,15 +155,11 @@ class BlockMatrix:
         """
         if not coefficients:
             raise ValueError("toeplitz matrix needs at least one stored offset")
-        size = _integer(size, "size")
+        size = _integer(size, "size", 1)
         stored = {}
         dim = None
         for offset, block in coefficients.items():
-            offset = _integer(offset, "toeplitz offset")
-            if abs(offset) > size - 1:
-                raise CoefficientSupportError(
-                    offset, (-(size - 1), size - 1), "toeplitz coefficients"
-                )
+            offset = _toeplitz_offset(offset, "toeplitz offset", size)
             arr = np.array(_numeric(block, "toeplitz block"), dtype=complex)
             if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
                 raise DimensionMismatchError(arr.shape, ("d", "d"), "toeplitz block")
@@ -167,13 +175,11 @@ class BlockMatrix:
         """Build from a map ``offset -> (N - |offset|, d, d) run of blocks``."""
         if not diagonals:
             raise ValueError("banded matrix needs at least one stored diagonal")
-        size = _integer(size, "size")
+        size = _integer(size, "size", 1)
         stored = {}
         dim = None
         for offset, run in diagonals.items():
-            offset = _integer(offset, "banded offset")
-            if abs(offset) > size - 1:
-                raise DiagonalRangeError(offset, size)
+            offset = _band_offset(offset, "banded offset", size)
             arr = np.array(_numeric(run, "banded diagonal"), dtype=complex)
             want = size - abs(offset)
             if arr.ndim != 3 or arr.shape[0] != want or arr.shape[1] != arr.shape[2]:
@@ -189,7 +195,8 @@ class BlockMatrix:
 
     @classmethod
     def identity(cls, size: int, dim: int) -> "BlockMatrix":
-        return cls.toeplitz({0: np.eye(_integer(dim, "dim"))}, size)
+        size, dim = _integer(size, "size", 1), _integer(dim, "dim", 1)
+        return cls.toeplitz({0: np.eye(dim)}, size)
 
     @classmethod
     def _from_dense(cls, flat: np.ndarray, size: int, dim: int) -> "BlockMatrix":
@@ -268,9 +275,7 @@ class BlockMatrix:
 
     def diagonal_run(self, offset: int) -> np.ndarray:
         """All blocks on a diagonal as an (N - |offset|, d, d) array."""
-        offset = _integer(offset, "diagonal offset")
-        if abs(offset) > self._size - 1:
-            raise DiagonalRangeError(offset, self._size)
+        offset = _band_offset(offset, "diagonal offset", self._size)
         count = self._size - abs(offset)
         run = self._run(offset)
         if len(run) < count:
@@ -525,7 +530,7 @@ def _gaussian(rng: np.random.Generator, shape) -> np.ndarray:
 
 def random_dense(size: int, dim: int, rng) -> BlockMatrix:
     """Dense matrix with independent complex Gaussian entries."""
-    size, dim = _integer(size, "size"), _integer(dim, "dim")
+    size, dim = _integer(size, "size", 1), _integer(dim, "dim", 1)
     return BlockMatrix.dense(_gaussian(_as_rng(rng), (size, size, dim, dim)))
 
 
@@ -536,7 +541,8 @@ def random_toeplitz(
 
     Each stored block is scaled by ``decay ** |offset|``.
     """
-    dim, offsets = _integer(dim, "dim"), _each(offsets, "toeplitz offset", _integer)
+    size, dim = _integer(size, "size", 1), _integer(dim, "dim", 1)
+    offsets = _each(offsets, "toeplitz offset", _toeplitz_offset, size)
     decay, rng = _real(decay, "decay"), _as_rng(rng)
     coeffs = {l: decay ** abs(l) * _gaussian(rng, (dim, dim)) for l in offsets}
     return BlockMatrix.toeplitz(coeffs, size)
@@ -550,8 +556,8 @@ def random_banded(
     Each diagonal is scaled by ``decay ** |offset|``; ``decay < 1``
     concentrates mass near the main diagonal.
     """
-    size, dim, decay = _integer(size, "size"), _integer(dim, "dim"), _real(decay, "decay")
-    bounds = _each(bounds, "band bound", _integer)
+    size, dim, decay = _integer(size, "size", 1), _integer(dim, "dim", 1), _real(decay, "decay")
+    bounds = _each(bounds, "band bound", _band_offset, size)
     if len(bounds) != 2:
         raise StructureError(f"band bounds {bounds} are not one pair (lo, hi)")
     lo, hi = bounds
@@ -566,5 +572,5 @@ def random_banded(
 
 
 def random_vector(size: int, dim: int, rng) -> BlockVector:
-    size, dim = _integer(size, "size"), _integer(dim, "dim")
+    size, dim = _integer(size, "size", 1), _integer(dim, "dim", 1)
     return BlockVector(_gaussian(_as_rng(rng), (size, dim)))

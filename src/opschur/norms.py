@@ -18,9 +18,9 @@ from typing import Callable
 
 import numpy as np
 
-from .blocks import BlockVector, _numeric, singular_triples
+from .blocks import BlockVector, _integer, _numeric, singular_triples
 from .errors import NonConvergenceError, StructureError
-from .kernels import _count, _spawned_rngs, modulation_mask, torus_grid
+from .kernels import _spawned_rngs, modulation_mask, torus_grid
 from .matrices import (
     DENSE,
     BlockMatrix,
@@ -125,8 +125,8 @@ def power_iteration(
     if m.ndim != 2 or m.size == 0:
         raise StructureError(f"power iteration needs a non-empty 2-d matrix, got shape {m.shape}")
     m = np.asarray(m, dtype=complex)
-    max_iter = _count(max_iter, "max_iter", 1)
-    rng = np.random.default_rng(_count(seed, "seed"))
+    max_iter = _integer(max_iter, "max_iter", 1)
+    rng = np.random.default_rng(_integer(seed, "seed", 0))
     v = rng.standard_normal(m.shape[1]) + 1j * rng.standard_normal(m.shape[1])
     v /= np.linalg.norm(v)
     for iteration in range(1, max_iter + 1):

@@ -227,7 +227,7 @@ class TestSmoothingProfile:
     @pytest.mark.parametrize("order", [2.5, True])
     def test_non_integer_orders_are_refused(self, order):
         a = random_banded(16, 2, np.random.default_rng(7), (0, 1))
-        with pytest.raises(ValueError, match="profile order must be an integer"):
+        with pytest.raises(StructureError, match=f"^profile order {order!r} is not an integer$"):
             smoothing_profile(a, fejer_family(), (1, order))
 
     def test_dilation_stalls(self):
@@ -357,18 +357,18 @@ class TestCoefficientAction:
     @pytest.mark.parametrize("trials", [0, -3])
     def test_bound_needs_at_least_one_trial(self, trials):
         zero = BlockMatrix.toeplitz({0: np.zeros((2, 2))}, 4)
-        with pytest.raises(ValueError, match=f"trials must be >= 1, got {trials}"):
+        with pytest.raises(StructureError, match=f"trials must be at least 1, got {trials}"):
             coefficient_action_bound(zero, trials=trials)
 
     @pytest.mark.parametrize(
         "seed, message",
-        [(-1, "seed must be >= 0, got -1"), (2.5, "seed must be an integer, got 2.5")],
+        [(-1, "seed must be at least 0, got -1"), (2.5, "seed 2.5 is not an integer")],
         ids=["negative", "float"],
     )
     def test_bad_seed_is_refused(self, seed, message):
         # numpy's bare ValueError and TypeError before
         zero = BlockMatrix.toeplitz({0: np.zeros((2, 2))}, 4)
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(StructureError, match=f"^{message}$"):
             coefficient_action_bound(zero, seed=seed)
 
 

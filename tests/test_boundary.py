@@ -1,12 +1,15 @@
 """Public entries refuse a malformed parameter with the package's own
-error, before they allocate anything.
+error, before they draw or allocate anything.
 
-One row per call: a real or complex scalar that is a string, None, a bool
-or not finite, a sequence that is not iterable or not one pair, a weight
-that is not callable, or an entry array of strings, bools or objects,
-ragged or of the wrong shape, given to a constructor or to a function
-that reads arrays.  Each refusal is a :class:`StructureError`; none is
-numpy's or Python's bare error, and none is a silent cast."""
+One row per call: a size or dim below its floor, a real or complex
+scalar that is a string, None, a bool or not finite, a sequence that is
+not iterable or not one pair, a weight that is not callable, angles that
+are complex or not finite, or an entry array of strings, bools or
+objects, ragged or of the wrong shape, given to a constructor or to a
+function that reads arrays.  Each refusal is a :class:`StructureError`;
+none is numpy's or Python's bare error, and none is a silent cast.
+Offsets outside the truncation window and blocks of different dims keep
+their own types, in ``TYPED_ROWS``."""
 
 import tracemalloc
 
@@ -18,18 +21,33 @@ from opschur.analysis import (
     VectorPolynomial,
     analytic_eval,
     boundary_profile,
+    dilation_matrix,
     modulate,
     smoothing_profile,
     symbol_analytic_eval,
 )
 from opschur.blocks import BlockVector, OperatorBlock, inner, singular_values
-from opschur.errors import DiscDomainError, StructureError
-from opschur.kernels import ScalarSymbol, fejer_family, kernel_axiom_check, modulation_mask
+from opschur.errors import (
+    CoefficientSupportError,
+    DiagonalRangeError,
+    DimensionMismatchError,
+    DiscDomainError,
+    StructureError,
+)
+from opschur.kernels import (
+    ScalarSymbol,
+    fejer_family,
+    kernel_axiom_check,
+    mask,
+    modulation_mask,
+)
 from opschur.matrices import (
     BlockMatrix,
     allclose,
     random_banded,
+    random_dense,
     random_toeplitz,
+    random_vector,
     scale_diagonals,
     tensor_scalar,
 )
@@ -46,6 +64,24 @@ SCALAR = ScalarSymbol.trig_polynomial({0: 1.0})
 POISSON = ScalarSymbol.poisson(0.5)
 
 ROWS = {
+    # sizes and dims below their floor
+    "random-dense-negative-size": lambda: random_dense(-1, 2, 0),
+    "random-dense-negative-dim": lambda: random_dense(4, -2, 0),
+    "random-toeplitz-negative-dim": lambda: random_toeplitz(4, -2, 0, [0]),
+    "random-toeplitz-size-zero": lambda: random_toeplitz(0, 2, 0, [0]),
+    "random-banded-negative-size": lambda: random_banded(-4, 2, 0, (0, 0)),
+    "random-banded-negative-dim": lambda: random_banded(4, -2, 0, (0, 0)),
+    "random-vector-negative-size": lambda: random_vector(-1, 2, 0),
+    "toeplitz-size-zero": lambda: BlockMatrix.toeplitz({0: EYE}, 0),
+    "toeplitz-negative-size": lambda: BlockMatrix.toeplitz({0: EYE}, -1),
+    "banded-size-zero": lambda: BlockMatrix.banded({0: np.zeros((1, 2, 2))}, 0),
+    "identity-negative-size": lambda: BlockMatrix.identity(-1, 2),
+    "identity-negative-dim": lambda: BlockMatrix.identity(4, -2),
+    "mask-negative-size": lambda: mask(SCALAR, -1, 2),
+    "mask-negative-dim": lambda: mask(SCALAR, 4, -2),
+    "modulation-mask-negative-dim": lambda: modulation_mask(0.5, 4, -2),
+    "dilation-size-one": lambda: dilation_matrix(1, 2),
+    "dilation-negative-dim": lambda: dilation_matrix(4, -2),
     # real scalars
     "poisson-string": lambda: ScalarSymbol.poisson("x"),
     "poisson-none": lambda: ScalarSymbol.poisson(None),
@@ -106,20 +142,50 @@ ROWS = {
     "power-iteration-vector": lambda: power_iteration(np.ones(3)),
     "inner-shapes": lambda: inner(np.ones(2), np.ones(3)),
     "operator-block-apply-string": lambda: BLOCK.apply("x"),
+    # angles
+    "scalar-symbol-values-complex": lambda: SCALAR.values(np.array([1 + 1j])),
+    "scalar-symbol-values-nan": lambda: SCALAR.values(np.array([0.0, np.nan])),
+    "poisson-values-complex": lambda: POISSON.values(1j),
+    "operator-symbol-values-infinite": lambda: SYMBOL.values(np.inf),
+}
+
+TYPED_ROWS = {
+    "banded-bounds-below-window":
+        (lambda: random_banded(4, 2, 0, (-5, 0)), DiagonalRangeError),
+    "banded-bounds-far-above-window":
+        (lambda: random_banded(4, 2, 0, (0, 10**12)), DiagonalRangeError),
+    # a draw of 64 x 64 blocks would show in the peak
+    "toeplitz-offset-outside-window":
+        (lambda: random_toeplitz(4, 64, 0, [0, 5]), CoefficientSupportError),
+    "operator-block-sum-dims":
+        (lambda: OperatorBlock(np.eye(1)) + OperatorBlock(np.eye(3)), DimensionMismatchError),
+    "operator-block-difference-dims":
+        (lambda: OperatorBlock(np.eye(2)) - OperatorBlock(np.eye(3)), DimensionMismatchError),
 }
 
 
-@pytest.mark.parametrize("call", ROWS.values(), ids=ROWS.keys())
-def test_refused_before_allocating(call):
+def _refusal_peak(call, error) -> int:
+    """Traced peak of a call that must raise exactly ``error``."""
     tracemalloc.start()
     try:
-        with pytest.raises(StructureError):
+        with pytest.raises(error) as err:
             call()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert type(err.value) is error
+    return peak
+
+
+@pytest.mark.parametrize("call", ROWS.values(), ids=ROWS.keys())
+def test_refused_before_allocating(call):
     # the exception and its message; no array of the call's size
-    assert peak < 10_000
+    assert _refusal_peak(call, StructureError) < 10_000
+
+
+@pytest.mark.parametrize("call, error", TYPED_ROWS.values(), ids=TYPED_ROWS.keys())
+def test_refused_with_own_type_before_drawing(call, error):
+    assert _refusal_peak(call, error) < 10_000
 
 
 def test_range_errors_keep_their_types():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from opschur import matrices, norms
 from opschur.analysis import OperatorSymbol, VectorPolynomial
 from opschur.blocks import BlockVector
-from opschur.errors import NonConvergenceError
+from opschur.errors import NonConvergenceError, StructureError
 from opschur.kernels import ScalarSymbol, mask, torus_grid
 from opschur.matrices import (
     BlockMatrix,
@@ -379,13 +379,13 @@ class TestPowerIteration:
 
     @pytest.mark.parametrize(
         "option, message",
-        [({"max_iter": 2.5}, "max_iter must be an integer, got 2.5"),
-         ({"max_iter": 0}, "max_iter must be >= 1, got 0"),
-         ({"seed": -1}, "seed must be >= 0, got -1")],
+        [({"max_iter": 2.5}, "max_iter 2.5 is not an integer"),
+         ({"max_iter": 0}, "max_iter must be at least 1, got 0"),
+         ({"seed": -1}, "seed must be at least 0, got -1")],
         ids=["float-cap", "zero-cap", "negative-seed"],
     )
     def test_bad_counts_are_refused(self, option, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(StructureError, match=f"^{message}$"):
             power_iteration(np.eye(3, dtype=complex), **option)
 
 
@@ -497,7 +497,7 @@ class TestMultiplierLowerBound:
 
     @pytest.mark.parametrize("trials", [0, -3])
     def test_needs_at_least_one_trial(self, trials):
-        with pytest.raises(ValueError, match=f"trials must be >= 1, got {trials}"):
+        with pytest.raises(StructureError, match=f"trials must be at least 1, got {trials}"):
             multiplier_lower_bound(BlockMatrix.identity(4, 2), trials=trials)
 
     def test_attains_block_norm_for_smoothed_block(self):
@@ -528,7 +528,7 @@ class TestMultiplierLowerBound:
             multiplier_lower_bound(BlockMatrix.identity(4, 2), side="middle")
 
     def test_negative_seed_is_refused(self):
-        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        with pytest.raises(StructureError, match="^seed must be at least 0, got -1$"):
             multiplier_lower_bound(BlockMatrix.identity(4, 2), seed=-1)
 
 
