@@ -164,7 +164,7 @@ class BlockMatrix:
             if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
                 raise DimensionMismatchError(arr.shape, ("d", "d"), "toeplitz block")
             if dim is None:
-                dim = arr.shape[0]
+                dim = _integer(arr.shape[0], "dim", 1)
             elif arr.shape[0] != dim:
                 raise DimensionMismatchError(arr.shape, (dim, dim), "toeplitz block")
             stored[offset] = arr[None]
@@ -187,7 +187,7 @@ class BlockMatrix:
                     arr.shape, (want, "d", "d"), f"banded diagonal {offset}"
                 )
             if dim is None:
-                dim = arr.shape[1]
+                dim = _integer(arr.shape[1], "dim", 1)
             elif arr.shape[1] != dim:
                 raise DimensionMismatchError(arr.shape, (want, dim, dim), "banded block")
             stored[offset] = arr
@@ -195,8 +195,7 @@ class BlockMatrix:
 
     @classmethod
     def identity(cls, size: int, dim: int) -> "BlockMatrix":
-        size, dim = _integer(size, "size", 1), _integer(dim, "dim", 1)
-        return cls.toeplitz({0: np.eye(dim)}, size)
+        return cls.toeplitz({0: np.eye(_integer(dim, "dim", 1))}, size)
 
     @classmethod
     def _from_dense(cls, flat: np.ndarray, size: int, dim: int) -> "BlockMatrix":

@@ -75,6 +75,8 @@ ROWS = {
     "toeplitz-size-zero": lambda: BlockMatrix.toeplitz({0: EYE}, 0),
     "toeplitz-negative-size": lambda: BlockMatrix.toeplitz({0: EYE}, -1),
     "banded-size-zero": lambda: BlockMatrix.banded({0: np.zeros((1, 2, 2))}, 0),
+    "toeplitz-dim-zero": lambda: BlockMatrix.toeplitz({0: np.zeros((0, 0))}, 4),
+    "banded-dim-zero": lambda: BlockMatrix.banded({0: np.zeros((4, 0, 0))}, 4),
     "identity-negative-size": lambda: BlockMatrix.identity(-1, 2),
     "identity-negative-dim": lambda: BlockMatrix.identity(4, -2),
     "mask-negative-size": lambda: mask(SCALAR, -1, 2),
