@@ -156,7 +156,7 @@ def smoothing_profile(
     """
     orders = _each(orders, "profile order", _integer, 0)
     if not orders:
-        raise ValueError("smoothing profile needs at least one order")
+        raise StructureError("smoothing profile needs at least one order")
     return _profile_verdict(a, kernel, orders, tolerance)
 
 
@@ -349,7 +349,7 @@ def boundary_profile(
     """
     radii = _each(radii, "radius", _real)
     if not radii:
-        raise ValueError("boundary profile needs at least one radius")
+        raise StructureError("boundary profile needs at least one radius")
     profile = _profile_verdict(a, ScalarSymbol.poisson, radii, tolerance)
     angles = 2 * np.pi * np.arange(BOUNDARY_ANGLES) / BOUNDARY_ANGLES
     sups = tuple(

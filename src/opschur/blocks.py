@@ -41,11 +41,30 @@ def _numeric(values, what: str) -> np.ndarray:
     return arr
 
 
-def _frozen_complex(values, shape_hint: str) -> np.ndarray:
-    arr = np.array(_numeric(values, shape_hint), dtype=complex)
-    arr.flags.writeable = False
+def _array(values, what: str, shape: tuple) -> np.ndarray:
+    """The entry array ``values`` as a complex array, not copied when it
+    already is one.  In ``shape`` an int is a fixed length and a name a
+    length that must be equal wherever it recurs; a mismatch is a
+    :class:`DimensionMismatchError`, and an empty array or a NaN or
+    infinite entry a :class:`StructureError`."""
+    arr = np.asarray(_numeric(values, what), dtype=complex)
+    named = {}
+    if arr.ndim != len(shape) or any(
+        length != (named.setdefault(want, length) if isinstance(want, str) else want)
+        for want, length in zip(shape, arr.shape)
+    ):
+        raise DimensionMismatchError(arr.shape, shape, what)
     if arr.size == 0:
-        raise ValueError(f"{shape_hint} must be non-empty")
+        raise StructureError(f"{what} must be non-empty")
+    if not np.isfinite(arr).all():
+        raise StructureError(f"{what} entries must be finite")
+    return arr
+
+
+def _frozen_copy(arr: np.ndarray) -> np.ndarray:
+    """A read-only copy of ``arr``, the storage of an immutable value."""
+    arr = arr.copy()
+    arr.flags.writeable = False
     return arr
 
 
@@ -116,10 +135,7 @@ class OperatorBlock:
     __slots__ = ("_m",)
 
     def __init__(self, matrix):
-        m = _frozen_complex(matrix, "operator block")
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionMismatchError(m.shape, m.shape, "operator block (square)")
-        self._m = m
+        self._m = _frozen_copy(_array(matrix, "operator block", ("d", "d")))
 
     @classmethod
     def identity(cls, d: int) -> "OperatorBlock":
@@ -136,11 +152,8 @@ class OperatorBlock:
         Its operator norm is ``|x| * |y|`` and its adjoint is
         ``outer(y, x)``.
         """
-        x = np.asarray(_numeric(x, "rank-one factor"), dtype=complex)
-        y = np.asarray(_numeric(y, "rank-one factor"), dtype=complex)
-        if x.shape != y.shape or x.ndim != 1:
-            raise DimensionMismatchError(x.shape, y.shape, "rank-one block")
-        return cls(np.outer(y, x.conj()))
+        x = _array(x, "rank-one factor", ("d",))
+        return cls(np.outer(_array(y, "rank-one factor", x.shape), x.conj()))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -151,10 +164,7 @@ class OperatorBlock:
         return self._m.shape[0]
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(_numeric(v, "vector"), dtype=complex)
-        if v.shape != (self.dim,):
-            raise DimensionMismatchError(self._m.shape, v.shape, "block apply")
-        return self._m @ v
+        return self._m @ _array(v, "vector", (self.dim,))
 
     def _check_dim(self, other: "OperatorBlock", context: str) -> None:
         if self.dim != other.dim:
@@ -196,18 +206,19 @@ class BlockVector:
     __slots__ = ("_v",)
 
     def __init__(self, parts):
-        v = _frozen_complex(parts, "block vector")
-        if v.ndim != 2:
-            raise DimensionMismatchError(v.shape, (0, 0), "block vector (N, d)")
-        self._v = v
+        self._v = _frozen_copy(_array(parts, "block vector", ("N", "d")))
 
     @classmethod
     def from_flat(cls, flat: np.ndarray, d: int) -> "BlockVector":
-        flat = np.asarray(_numeric(flat, "flat vector"), dtype=complex)
+        """The vector whose flattening is ``flat``, ``d`` entries a slot;
+        the 1-d ``flat`` is checked here, and not again as ``(N, d)``."""
         d = _integer(d, "dim", 1)
-        if flat.ndim != 1 or flat.size % d:
+        flat = _array(flat, "flat vector", ("N d",))
+        if len(flat) % d:
             raise DimensionMismatchError(flat.shape, (d,), "unflatten")
-        return cls(flat.reshape(-1, d))
+        vector = object.__new__(cls)
+        vector._v = _frozen_copy(flat.reshape(-1, d))
+        return vector
 
     @classmethod
     def basis(cls, size: int, d: int, slot: int, part: np.ndarray) -> "BlockVector":
@@ -217,7 +228,7 @@ class BlockVector:
         if not 0 <= slot < size:
             raise IndexError(f"slot {slot} outside [0, {size})")
         out = np.zeros((size, d), dtype=complex)
-        out[slot] = _numeric(part, "basis part")
+        out[slot] = _array(part, "basis part", (d,))
         return cls(out)
 
     @property

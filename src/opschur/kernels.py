@@ -20,8 +20,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .blocks import _angles, _each, _integer, _numeric, _real
-from .errors import DimensionMismatchError, StructureError
+from .blocks import _angles, _array, _each, _integer, _real
+from .errors import StructureError
 from .matrices import BlockMatrix, scale_diagonals
 
 __all__ = [
@@ -67,21 +67,16 @@ class _TrigPolynomial:
 
     def __init__(self, coefficients: Mapping[int, object]):
         if not coefficients:
-            raise ValueError(f"{self._noun} needs at least one coefficient")
-        parts = {
-            _integer(l, f"{self._noun} offset"):
-                np.asarray(_numeric(c, self._part), dtype=complex)
-            for l, c in coefficients.items()
-        }
+            raise StructureError(f"{self._noun} needs at least one coefficient")
+        parts = {}
+        shape = ("d",) * self._rank  # then the first coefficient's, which every one must have
+        for l, c in coefficients.items():
+            l = _integer(l, f"{self._noun} offset")
+            parts[l] = _array(c, self._part, shape)
+            shape = parts[l].shape
         offsets = sorted(parts)
-        stacked = [parts[l] for l in offsets]
-        for arr in stacked:
-            if arr.ndim != self._rank or len(set(arr.shape)) > 1:
-                raise DimensionMismatchError(arr.shape, ("d",) * self._rank, self._part)
-            if arr.shape != stacked[0].shape:
-                raise DimensionMismatchError(arr.shape, stacked[0].shape, self._part)
         self._offsets = np.array(offsets, dtype=int)
-        self._coeffs = np.stack(stacked)
+        self._coeffs = np.stack([parts[l] for l in offsets])
 
     @classmethod
     def _from_arrays(cls, offsets: np.ndarray, coeffs: np.ndarray):
@@ -367,7 +362,7 @@ def kernel_axiom_check(
     """
     orders = sorted(_each(orders, "kernel order", _integer, 0))
     if not orders:
-        raise ValueError("kernel_axiom_check needs at least one order")
+        raise StructureError("kernel_axiom_check needs at least one order")
     deltas = _each(deltas, "tail delta", _real)
     t = torus_grid()
     tail_masks = [np.abs(t) >= delta for delta in deltas]

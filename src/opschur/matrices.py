@@ -32,7 +32,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .blocks import BlockVector, OperatorBlock, _complex, _each, _integer, _numeric, _real
+from .blocks import BlockVector, OperatorBlock, _array, _complex, _each, _integer, _real
 from .errors import (
     CoefficientSupportError,
     DiagonalRangeError,
@@ -138,10 +138,8 @@ class BlockMatrix:
     def dense(cls, blocks) -> "BlockMatrix":
         """Build from a full (N, N, d, d) complex array, copied once into
         the flattened storage; later writes to ``blocks`` do not reach it."""
-        arr = np.asarray(_numeric(blocks, "dense"), dtype=complex)
-        if arr.ndim != 4 or arr.shape[0] != arr.shape[1] or arr.shape[2] != arr.shape[3]:
-            raise DimensionMismatchError(arr.shape, ("N", "N", "d", "d"), "dense blocks")
-        n, d = _integer(arr.shape[0], "size", 1), _integer(arr.shape[2], "dim", 1)
+        arr = _array(blocks, "dense blocks", ("N", "N", "d", "d"))
+        n, d = arr.shape[1:3]
         flat = np.array(arr.transpose(0, 2, 1, 3), order="C").reshape(n * d, n * d)
         return cls._from_dense(flat, n, d)
 
@@ -154,43 +152,30 @@ class BlockMatrix:
         ``[-(N-1), N-1]`` are rejected rather than silently dropped.
         """
         if not coefficients:
-            raise ValueError("toeplitz matrix needs at least one stored offset")
+            raise StructureError("toeplitz matrix needs at least one stored offset")
         size = _integer(size, "size", 1)
         stored = {}
-        dim = None
+        dim = "d"  # the first block's side, which every later block must have
         for offset, block in coefficients.items():
             offset = _toeplitz_offset(offset, "toeplitz offset", size)
-            arr = np.array(_numeric(block, "toeplitz block"), dtype=complex)
-            if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-                raise DimensionMismatchError(arr.shape, ("d", "d"), "toeplitz block")
-            if dim is None:
-                dim = _integer(arr.shape[0], "dim", 1)
-            elif arr.shape[0] != dim:
-                raise DimensionMismatchError(arr.shape, (dim, dim), "toeplitz block")
-            stored[offset] = arr[None]
+            arr = _array(block, "toeplitz block", (dim, dim))
+            dim = len(arr)
+            stored[offset] = arr[None].copy()
         return cls._from_runs(TOEPLITZ, size, dim, stored)
 
     @classmethod
     def banded(cls, diagonals: Mapping[int, np.ndarray], size: int) -> "BlockMatrix":
         """Build from a map ``offset -> (N - |offset|, d, d) run of blocks``."""
         if not diagonals:
-            raise ValueError("banded matrix needs at least one stored diagonal")
+            raise StructureError("banded matrix needs at least one stored diagonal")
         size = _integer(size, "size", 1)
         stored = {}
-        dim = None
+        dim = "d"  # the first run's block side, which every later run must have
         for offset, run in diagonals.items():
             offset = _band_offset(offset, "banded offset", size)
-            arr = np.array(_numeric(run, "banded diagonal"), dtype=complex)
-            want = size - abs(offset)
-            if arr.ndim != 3 or arr.shape[0] != want or arr.shape[1] != arr.shape[2]:
-                raise DimensionMismatchError(
-                    arr.shape, (want, "d", "d"), f"banded diagonal {offset}"
-                )
-            if dim is None:
-                dim = _integer(arr.shape[1], "dim", 1)
-            elif arr.shape[1] != dim:
-                raise DimensionMismatchError(arr.shape, (want, dim, dim), "banded block")
-            stored[offset] = arr
+            arr = _array(run, f"banded diagonal {offset}", (size - abs(offset), dim, dim))
+            dim = arr.shape[1]
+            stored[offset] = arr.copy()
         return cls._from_runs(BANDED, size, dim, stored)
 
     @classmethod
@@ -457,17 +442,15 @@ def tensor_scalar(scalar_matrix: np.ndarray, t) -> BlockMatrix:
     operator norm factors exactly as ``|a| * |t|``.  ``t`` may be an
     OperatorBlock or a plain square array.
     """
-    arr = np.asarray(_numeric(scalar_matrix, "scalar matrix"), dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DimensionMismatchError(arr.shape, ("N", "N"), "tensor scalar")
+    arr = _array(scalar_matrix, "scalar matrix", ("N", "N"))
     block = (t if isinstance(t, OperatorBlock) else OperatorBlock(t)).matrix
     return BlockMatrix.dense(np.einsum("kj,ab->kjab", arr, block))
 
 
 def truncate(a: BlockMatrix, size: int) -> BlockMatrix:
     """Leading principal ``size`` x ``size`` submatrix, structure kept."""
-    size = _integer(size, "truncation size")
-    if not 1 <= size <= a.size:
+    size = _integer(size, "truncation size", 1)
+    if size > a.size:
         raise ValueError(f"truncation size {size} outside [1, {a.size}]")
     if size == a.size:
         return a
@@ -561,7 +544,7 @@ def random_banded(
         raise StructureError(f"band bounds {bounds} are not one pair (lo, hi)")
     lo, hi = bounds
     if lo > hi:
-        raise ValueError(f"empty band {bounds}")
+        raise StructureError(f"empty band {bounds}")
     rng = _as_rng(rng)
     diags = {
         l: decay ** abs(l) * _gaussian(rng, (size - abs(l), dim, dim))

@@ -504,7 +504,7 @@ def multiplier_lower_bound(
     ``trials`` must be an integer of at least 1.
     """
     if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        raise StructureError(f"side must be 'left' or 'right', got {side!r}")
     rngs = _spawned_rngs(seed, trials)
 
     def ratios():

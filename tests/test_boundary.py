@@ -3,13 +3,14 @@ error, before they draw or allocate anything.
 
 One row per call: a size or dim below its floor, a real or complex
 scalar that is a string, None, a bool or not finite, a sequence that is
-not iterable or not one pair, a weight that is not callable, angles that
-are complex or not finite, or an entry array of strings, bools or
-objects, ragged or of the wrong shape, given to a constructor or to a
-function that reads arrays.  Each refusal is a :class:`StructureError`;
-none is numpy's or Python's bare error, and none is a silent cast.
-Offsets outside the truncation window and blocks of different dims keep
-their own types, in ``TYPED_ROWS``."""
+not iterable, not one pair or empty, an empty map, a weight that is not
+callable, angles that are complex or not finite, or an entry array of
+strings, bools or objects, ragged, empty or with a NaN or infinite
+entry, given to a constructor or to a function that reads arrays.  Each
+refusal is a :class:`StructureError`; none is numpy's or Python's bare
+error, and none is a silent cast.  Offsets outside the truncation window
+and entry arrays of the wrong shape, such as blocks of different dims,
+keep their own types, in ``TYPED_ROWS``."""
 
 import tracemalloc
 
@@ -50,8 +51,9 @@ from opschur.matrices import (
     random_vector,
     scale_diagonals,
     tensor_scalar,
+    truncate,
 )
-from opschur.norms import power_iteration
+from opschur.norms import multiplier_lower_bound, power_iteration
 
 # upper triangular and toeplitz, so every row below reaches its check
 A = BlockMatrix.identity(4, 2)
@@ -84,6 +86,7 @@ ROWS = {
     "modulation-mask-negative-dim": lambda: modulation_mask(0.5, 4, -2),
     "dilation-size-one": lambda: dilation_matrix(1, 2),
     "dilation-negative-dim": lambda: dilation_matrix(4, -2),
+    "truncate-size-zero": lambda: truncate(A, 0),
     # real scalars
     "poisson-string": lambda: ScalarSymbol.poisson("x"),
     "poisson-none": lambda: ScalarSymbol.poisson(None),
@@ -114,6 +117,16 @@ ROWS = {
     "boundary-radii-none": lambda: boundary_profile(A, None),
     "profile-orders-none": lambda: smoothing_profile(A, fejer_family(), None),
     "axiom-orders-none": lambda: kernel_axiom_check(fejer_family(), None),
+    "banded-bounds-reversed": lambda: random_banded(4, 2, 0, (1, 0)),
+    "boundary-radii-empty": lambda: boundary_profile(A, []),
+    "profile-orders-empty": lambda: smoothing_profile(A, fejer_family(), []),
+    "axiom-orders-empty": lambda: kernel_axiom_check(fejer_family(), []),
+    # maps and choices
+    "toeplitz-map-empty": lambda: BlockMatrix.toeplitz({}, 4),
+    "banded-map-empty": lambda: BlockMatrix.banded({}, 4),
+    "operator-symbol-map-empty": lambda: OperatorSymbol({}),
+    "vector-polynomial-map-empty": lambda: VectorPolynomial({}),
+    "multiplier-side-unknown": lambda: multiplier_lower_bound(A, side="up"),
     # callables
     "scale-diagonals-weight-string": lambda: scale_diagonals(A, "x"),
     # entry arrays
@@ -144,6 +157,16 @@ ROWS = {
     "power-iteration-vector": lambda: power_iteration(np.ones(3)),
     "inner-shapes": lambda: inner(np.ones(2), np.ones(3)),
     "operator-block-apply-string": lambda: BLOCK.apply("x"),
+    "operator-block-empty": lambda: OperatorBlock(np.zeros((0, 0))),
+    "block-vector-empty": lambda: BlockVector(np.zeros((2, 0))),
+    "dense-nan": lambda: BlockMatrix.dense(np.full((1, 1, 1, 1), np.nan)),
+    "toeplitz-block-infinite": lambda: BlockMatrix.toeplitz({0: [[np.inf]]}, 2),
+    "banded-run-nan": lambda: BlockMatrix.banded({0: [[[np.nan]]]}, 1),
+    "trig-polynomial-nan": lambda: ScalarSymbol.trig_polynomial({0: np.nan}),
+    "operator-symbol-infinite": lambda: OperatorSymbol({0: [[-np.inf]]}),
+    "operator-block-apply-nan": lambda: BLOCK.apply([np.nan, 0.0]),
+    "tensor-scalar-nan": lambda: tensor_scalar([[np.nan]], EYE),
+    "basis-part-infinite": lambda: BlockVector.basis(4, 2, 0, [np.inf, 0.0]),
     # angles
     "scalar-symbol-values-complex": lambda: SCALAR.values(np.array([1 + 1j])),
     "scalar-symbol-values-nan": lambda: SCALAR.values(np.array([0.0, np.nan])),
@@ -163,6 +186,8 @@ TYPED_ROWS = {
         (lambda: OperatorBlock(np.eye(1)) + OperatorBlock(np.eye(3)), DimensionMismatchError),
     "operator-block-difference-dims":
         (lambda: OperatorBlock(np.eye(2)) - OperatorBlock(np.eye(3)), DimensionMismatchError),
+    "basis-part-shape":
+        (lambda: BlockVector.basis(4, 2, 0, [1.0, 2.0, 3.0]), DimensionMismatchError),
 }
 
 
