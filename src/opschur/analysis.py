@@ -154,10 +154,7 @@ def smoothing_profile(
     The default tolerance is ``RELATIVE_PROFILE_TOLERANCE`` times the
     operator norm of ``a``.
     """
-    orders = _each(orders, "profile order", _integer, 0)
-    if not orders:
-        raise StructureError("smoothing profile needs at least one order")
-    return _profile_verdict(a, kernel, orders, tolerance)
+    return _profile_verdict(a, kernel, _each(orders, "profile order", _integer, 0), tolerance)
 
 
 def dilation_matrix(size: int, dim: int) -> BlockMatrix:
@@ -348,8 +345,6 @@ def boundary_profile(
     distances default to the tolerance of :func:`smoothing_profile`.
     """
     radii = _each(radii, "radius", _real)
-    if not radii:
-        raise StructureError("boundary profile needs at least one radius")
     profile = _profile_verdict(a, ScalarSymbol.poisson, radii, tolerance)
     angles = 2 * np.pi * np.arange(BOUNDARY_ANGLES) / BOUNDARY_ANGLES
     sups = tuple(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numbers
 import operator
+from collections.abc import Mapping
 from contextlib import suppress
 
 import numpy as np
@@ -41,24 +42,39 @@ def _numeric(values, what: str) -> np.ndarray:
     return arr
 
 
-def _array(values, what: str, shape: tuple) -> np.ndarray:
+def _array(values, what: str, shape: tuple, named: dict | None = None) -> np.ndarray:
     """The entry array ``values`` as a complex array, not copied when it
     already is one.  In ``shape`` an int is a fixed length and a name a
-    length that must be equal wherever it recurs; a mismatch is a
+    length that must be equal wherever it recurs, in this array and in
+    every array checked with the same ``named`` lengths; a mismatch is a
     :class:`DimensionMismatchError`, and an empty array or a NaN or
     infinite entry a :class:`StructureError`."""
     arr = np.asarray(_numeric(values, what), dtype=complex)
-    named = {}
+    named = {} if named is None else named
     if arr.ndim != len(shape) or any(
         length != (named.setdefault(want, length) if isinstance(want, str) else want)
         for want, length in zip(shape, arr.shape)
     ):
-        raise DimensionMismatchError(arr.shape, shape, what)
+        raise DimensionMismatchError(arr.shape, (named.get(w, w) for w in shape), what)
     if arr.size == 0:
         raise StructureError(f"{what} must be non-empty")
     if not np.isfinite(arr).all():
         raise StructureError(f"{what} entries must be finite")
     return arr
+
+
+def _entries(mapping, what: str, offset, shape) -> dict:
+    """The offset-keyed map ``mapping`` as a dict ``offset(key) -> entry``,
+    each entry checked by :func:`_array` against ``shape(offset)``, a name
+    such as ``"d"`` being one length across the whole map; anything but a
+    non-empty mapping is a :class:`StructureError`."""
+    if not isinstance(mapping, Mapping):
+        raise StructureError(f"{what} map must be a mapping, not {type(mapping).__name__}")
+    if not mapping:
+        raise StructureError(f"{what} map must be non-empty")
+    named = {}
+    return {(l := offset(key)): _array(value, f"{what} {l}", shape(l), named)
+            for key, value in mapping.items()}
 
 
 def _frozen_copy(arr: np.ndarray) -> np.ndarray:
@@ -113,12 +129,25 @@ def _angles(t) -> np.ndarray:
 
 def _each(values, what: str, check, *args) -> tuple:
     """``check(item, what, *args)`` of every item of ``values``, such as
-    a floor or a size; a non-iterable is refused."""
+    a floor or a size; a non-iterable or an empty sequence is refused."""
     try:
         items = iter(values)
     except TypeError:
         raise StructureError(f"{what} sequence {values!r} is not iterable") from None
-    return tuple(check(item, what, *args) for item in items)
+    if not (items := tuple(check(item, what, *args) for item in items)):
+        raise StructureError(f"{what} sequence must be non-empty")
+    return items
+
+
+def _result(cls, what: str, op, *operands):
+    """``cls(op(*operands))``, without numpy's overflow warnings: a NaN or
+    infinite result is refused as the operation ``what`` overflowing,
+    not as malformed entries."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = op(*operands)
+    if not np.isfinite(out).all():
+        raise StructureError(f"{what} overflows: its result is not finite")
+    return cls(out)
 
 
 def inner(u: np.ndarray, v: np.ndarray) -> complex:
@@ -173,7 +202,7 @@ class OperatorBlock:
     def compose(self, other: "OperatorBlock") -> "OperatorBlock":
         """Operator composition ``self after other``."""
         self._check_dim(other, "compose")
-        return OperatorBlock(self._m @ other._m)
+        return _result(OperatorBlock, "block composition", np.matmul, self._m, other._m)
 
     def adjoint(self) -> "OperatorBlock":
         return OperatorBlock(self._m.conj().T)
@@ -184,15 +213,15 @@ class OperatorBlock:
 
     def __add__(self, other: "OperatorBlock") -> "OperatorBlock":
         self._check_dim(other, "block sum")
-        return OperatorBlock(self._m + other._m)
+        return _result(OperatorBlock, "block sum", np.add, self._m, other._m)
 
     def __sub__(self, other: "OperatorBlock") -> "OperatorBlock":
         self._check_dim(other, "block difference")
-        return OperatorBlock(self._m - other._m)
+        return _result(OperatorBlock, "block difference", np.subtract, self._m, other._m)
 
     def __mul__(self, scalar: complex) -> "OperatorBlock":
         _complex(scalar, "scalar")  # checked only: a real scalar keeps its signed zeros
-        return OperatorBlock(self._m * scalar)
+        return _result(OperatorBlock, "block multiple", np.multiply, self._m, scalar)
 
     __rmul__ = __mul__
 
@@ -266,15 +295,15 @@ class BlockVector:
 
     def __add__(self, other: "BlockVector") -> "BlockVector":
         self._check_shape(other, "vector sum")
-        return BlockVector(self._v + other._v)
+        return _result(BlockVector, "vector sum", np.add, self._v, other._v)
 
     def __sub__(self, other: "BlockVector") -> "BlockVector":
         self._check_shape(other, "vector difference")
-        return BlockVector(self._v - other._v)
+        return _result(BlockVector, "vector difference", np.subtract, self._v, other._v)
 
     def __mul__(self, scalar: complex) -> "BlockVector":
         _complex(scalar, "scalar")  # checked only: a real scalar keeps its signed zeros
-        return BlockVector(self._v * scalar)
+        return _result(BlockVector, "vector multiple", np.multiply, self._v, scalar)
 
     __rmul__ = __mul__
 

@@ -20,7 +20,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .blocks import _angles, _array, _each, _integer, _real
+from .blocks import _angles, _each, _entries, _integer, _real
 from .errors import StructureError
 from .matrices import BlockMatrix, scale_diagonals
 
@@ -55,6 +55,15 @@ def _spawned_rngs(seed, trials) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in seeds]
 
 
+def _offset_array(offsets) -> np.ndarray:
+    """Coefficient offsets as an array, not copied when it already is one;
+    a non-empty array of any but an integer dtype, bool included, is refused."""
+    offsets = np.asarray(offsets)
+    if offsets.size and offsets.dtype.kind not in "iu":
+        raise StructureError(f"coefficient offsets must be integers, not {offsets.dtype}")
+    return offsets
+
+
 class _TrigPolynomial:
     """Trig polynomial ``t -> sum_l c_l e^{i l t}``, ``c_l`` of rank ``_rank``.
 
@@ -66,14 +75,8 @@ class _TrigPolynomial:
     __slots__ = ("_offsets", "_coeffs")
 
     def __init__(self, coefficients: Mapping[int, object]):
-        if not coefficients:
-            raise StructureError(f"{self._noun} needs at least one coefficient")
-        parts = {}
-        shape = ("d",) * self._rank  # then the first coefficient's, which every one must have
-        for l, c in coefficients.items():
-            l = _integer(l, f"{self._noun} offset")
-            parts[l] = _array(c, self._part, shape)
-            shape = parts[l].shape
+        parts = _entries(coefficients, self._part, lambda l: _integer(l, f"{self._noun} offset"),
+                         lambda l: ("d",) * self._rank)
         offsets = sorted(parts)
         self._offsets = np.array(offsets, dtype=int)
         self._coeffs = np.stack([parts[l] for l in offsets])
@@ -103,7 +106,7 @@ class _TrigPolynomial:
     def _lookup(self, offsets) -> tuple[np.ndarray, np.ndarray]:
         """Storage positions of an integer array of offsets, and which of
         them are stored; one binary search, whatever the degree."""
-        offsets = np.asarray(offsets, dtype=int)
+        offsets = _offset_array(offsets)
         index = np.minimum(np.searchsorted(self._offsets, offsets), len(self._offsets) - 1)
         return index, self._offsets[index] == offsets
 
@@ -117,8 +120,8 @@ class _TrigPolynomial:
         return np.where(hit.reshape(hit.shape + (1,) * self._rank), self._coeffs[index], 0)
 
     def coeff(self, offset: int):
-        """The coefficient at ``offset``: a complex number or an array."""
-        return self.coeff_array(offset)[()]
+        """The coefficient at the integer ``offset``: a complex number or an array."""
+        return self.coeff_array(_integer(offset, "coefficient offset"))[()]
 
     def values(self, t: np.ndarray) -> np.ndarray:
         """Pointwise values, shape ``(len(t),)`` plus the coefficient shape.
@@ -149,8 +152,8 @@ class ScalarSymbol(_TrigPolynomial):
 
     @classmethod
     def trig_polynomial(cls, coeffs: Mapping[int, complex]) -> "ScalarSymbol":
-        """Finitely supported symbol ``t -> sum_l c_l e^{i l t}``."""
-        return cls(coeffs or {0: 0j})
+        """Finitely supported symbol ``t -> sum_l c_l e^{i l t}``; ``{}`` is zero."""
+        return cls({0: 0j} if isinstance(coeffs, Mapping) and not coeffs else coeffs)
 
     @classmethod
     def fejer(cls, n: int) -> "ScalarSymbol":
@@ -201,7 +204,7 @@ class PoissonSymbol(ScalarSymbol):
         return np.ones(np.shape(offsets), dtype=bool)
 
     def coeff_array(self, offsets) -> np.ndarray:
-        return (self._r ** np.abs(np.asarray(offsets, dtype=int))).astype(complex)
+        return (self._r ** np.abs(_offset_array(offsets))).astype(complex)
 
     def values(self, t: np.ndarray) -> np.ndarray:
         r = self._r
@@ -361,8 +364,6 @@ def kernel_axiom_check(
     length.
     """
     orders = sorted(_each(orders, "kernel order", _integer, 0))
-    if not orders:
-        raise StructureError("kernel_axiom_check needs at least one order")
     deltas = _each(deltas, "tail delta", _real)
     t = torus_grid()
     tail_masks = [np.abs(t) >= delta for delta in deltas]

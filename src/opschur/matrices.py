@@ -32,7 +32,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .blocks import BlockVector, OperatorBlock, _array, _complex, _each, _integer, _real
+from .blocks import BlockVector, OperatorBlock, _array, _complex, _each, _entries, _integer, _real
 from .errors import (
     CoefficientSupportError,
     DiagonalRangeError,
@@ -151,32 +151,24 @@ class BlockMatrix:
         offsets that are not stored read as zero.  Offsets outside
         ``[-(N-1), N-1]`` are rejected rather than silently dropped.
         """
-        if not coefficients:
-            raise StructureError("toeplitz matrix needs at least one stored offset")
         size = _integer(size, "size", 1)
-        stored = {}
-        dim = "d"  # the first block's side, which every later block must have
-        for offset, block in coefficients.items():
-            offset = _toeplitz_offset(offset, "toeplitz offset", size)
-            arr = _array(block, "toeplitz block", (dim, dim))
-            dim = len(arr)
-            stored[offset] = arr[None].copy()
-        return cls._from_runs(TOEPLITZ, size, dim, stored)
+        blocks = _entries(coefficients, "toeplitz block",
+                          lambda l: _toeplitz_offset(l, "toeplitz offset", size),
+                          lambda l: ("d", "d"))
+        for l, block in blocks.items():
+            blocks[l] = block[None].copy()
+        return cls._from_runs(TOEPLITZ, size, block.shape[-1], blocks)
 
     @classmethod
     def banded(cls, diagonals: Mapping[int, np.ndarray], size: int) -> "BlockMatrix":
         """Build from a map ``offset -> (N - |offset|, d, d) run of blocks``."""
-        if not diagonals:
-            raise StructureError("banded matrix needs at least one stored diagonal")
         size = _integer(size, "size", 1)
-        stored = {}
-        dim = "d"  # the first run's block side, which every later run must have
-        for offset, run in diagonals.items():
-            offset = _band_offset(offset, "banded offset", size)
-            arr = _array(run, f"banded diagonal {offset}", (size - abs(offset), dim, dim))
-            dim = arr.shape[1]
-            stored[offset] = arr.copy()
-        return cls._from_runs(BANDED, size, dim, stored)
+        runs = _entries(diagonals, "banded diagonal",
+                        lambda l: _band_offset(l, "banded offset", size),
+                        lambda l: (size - abs(l), "d", "d"))
+        for l, run in runs.items():
+            runs[l] = run.copy()  # one run at a time, so a converted run is freed as it goes
+        return cls._from_runs(BANDED, size, run.shape[-1], runs)
 
     @classmethod
     def identity(cls, size: int, dim: int) -> "BlockMatrix":

@@ -132,17 +132,10 @@ def _offset_items(items: list, field: str, size: int):
         yield offset, item
 
 
-def _finite(values: np.ndarray, field: str) -> np.ndarray:
-    """``values`` unchanged, or SerializationError if any is NaN or infinite."""
-    if not np.isfinite(values).all():
-        raise SerializationError(field, "values must be finite")
-    return values
-
-
 def _parse_pairs(value, shape: tuple, field: str) -> np.ndarray:
     """Complex array of ``shape`` from nested ``[real, imag]`` pairs, checked
     and cast in bulk; cell types are checked first, since a float cast takes
-    ``true`` and ``"1.5"``.  The caller checks finiteness."""
+    ``true`` and ``"1.5"``.  A NaN or infinite value is refused."""
     try:
         arr = np.array(value, dtype=object)
         if arr.shape != shape + (2,) or not set(map(type, arr.flat)) <= {int, float}:
@@ -151,6 +144,8 @@ def _parse_pairs(value, shape: tuple, field: str) -> np.ndarray:
     except (ValueError, OverflowError):
         _bad_place(value, shape, field)
         values = np.array(value, dtype=float)  # cells of float subclasses
+    if not np.isfinite(values).all():
+        raise SerializationError(field, "values must be finite")
     return values.view(complex)[..., 0]
 
 
@@ -219,14 +214,11 @@ def matrix_from_payload(payload: dict) -> BlockMatrix:
     upper = _require(payload, "upper_triangular", bool)
     data = _require(payload, "data", list)
     if structure == DENSE:
-        blocks = _parse_pairs(data, (size, size, dim, dim), "data")
-        matrix = BlockMatrix.dense(_finite(blocks, "data"))
+        matrix = BlockMatrix.dense(_parse_pairs(data, (size, size, dim, dim), "data"))
     elif structure == TOEPLITZ:
         coeffs = {}
         for offset, item in _offset_items(data, "data", size):
-            name = f"offset {offset}"
-            block = _parse_pairs(_require(item, "block"), (dim, dim), name)
-            coeffs[offset] = _finite(block, name)
+            coeffs[offset] = _parse_pairs(_require(item, "block"), (dim, dim), f"offset {offset}")
         matrix = BlockMatrix.toeplitz(coeffs, size)
     elif structure == BANDED:
         diagonals = {}
@@ -235,8 +227,7 @@ def matrix_from_payload(payload: dict) -> BlockMatrix:
             runs = _require(item, "blocks", list)
             if len(runs) != length:
                 raise SerializationError("blocks", f"{name} needs {length} blocks")
-            run = _parse_pairs(runs, (length, dim, dim), name)
-            diagonals[offset] = _finite(run, name)
+            diagonals[offset] = _parse_pairs(runs, (length, dim, dim), name)
         matrix = BlockMatrix.banded(diagonals, size)
     else:
         raise SerializationError("structure", f"unknown structure {structure!r}")

@@ -3,14 +3,17 @@ error, before they draw or allocate anything.
 
 One row per call: a size or dim below its floor, a real or complex
 scalar that is a string, None, a bool or not finite, a sequence that is
-not iterable, not one pair or empty, an empty map, a weight that is not
-callable, angles that are complex or not finite, or an entry array of
-strings, bools or objects, ragged, empty or with a NaN or infinite
-entry, given to a constructor or to a function that reads arrays.  Each
-refusal is a :class:`StructureError`; none is numpy's or Python's bare
-error, and none is a silent cast.  Offsets outside the truncation window
-and entry arrays of the wrong shape, such as blocks of different dims,
-keep their own types, in ``TYPED_ROWS``."""
+not iterable, not one pair or empty (tail deltas included), a map that
+is not a mapping or is empty, a coefficient offset that is not an
+integer, a weight that is not callable, angles that are complex or not
+finite, an entry array of strings, bools or objects, ragged, empty or
+with a NaN or infinite entry, given to a constructor or to a function
+that reads arrays, or block or vector arithmetic whose result
+overflows.  Each refusal is a :class:`StructureError`; none is numpy's
+or Python's bare error or warning, and none is a silent cast or
+default.  Offsets outside the truncation window and entry arrays of the
+wrong shape, such as blocks of different dims within one map, keep
+their own types, in ``TYPED_ROWS``."""
 
 import tracemalloc
 
@@ -64,6 +67,7 @@ SYMBOL = OperatorSymbol({0: EYE})
 POLYNOMIAL = VectorPolynomial({0: np.ones(2)})
 SCALAR = ScalarSymbol.trig_polynomial({0: 1.0})
 POISSON = ScalarSymbol.poisson(0.5)
+HUGE = np.full((1, 1), 1e308)
 
 ROWS = {
     # sizes and dims below their floor
@@ -121,12 +125,29 @@ ROWS = {
     "boundary-radii-empty": lambda: boundary_profile(A, []),
     "profile-orders-empty": lambda: smoothing_profile(A, fejer_family(), []),
     "axiom-orders-empty": lambda: kernel_axiom_check(fejer_family(), []),
+    "axiom-deltas-empty": lambda: kernel_axiom_check(fejer_family(), [1], deltas=()),
     # maps and choices
     "toeplitz-map-empty": lambda: BlockMatrix.toeplitz({}, 4),
     "banded-map-empty": lambda: BlockMatrix.banded({}, 4),
     "operator-symbol-map-empty": lambda: OperatorSymbol({}),
     "vector-polynomial-map-empty": lambda: VectorPolynomial({}),
+    "toeplitz-map-list": lambda: BlockMatrix.toeplitz([EYE], 4),
+    "banded-map-list": lambda: BlockMatrix.banded([np.zeros((4, 2, 2))], 4),
+    "operator-symbol-map-list": lambda: OperatorSymbol([EYE]),
+    "vector-polynomial-map-list": lambda: VectorPolynomial([np.ones(2)]),
+    "trig-polynomial-map-list": lambda: ScalarSymbol.trig_polynomial([1.0]),
+    "trig-polynomial-map-none": lambda: ScalarSymbol.trig_polynomial(None),
+    "trig-polynomial-map-empty-list": lambda: ScalarSymbol.trig_polynomial([]),
+    "trig-polynomial-map-zero": lambda: ScalarSymbol.trig_polynomial(0),
     "multiplier-side-unknown": lambda: multiplier_lower_bound(A, side="up"),
+    # coefficient offsets
+    "coeff-half": lambda: SCALAR.coeff(0.5),
+    "coeff-bool": lambda: SCALAR.coeff(True),
+    "coeff-string": lambda: SCALAR.coeff("x"),
+    "coeff-none": lambda: SCALAR.coeff(None),
+    "coeff-array-half": lambda: SCALAR.coeff_array([0.5]),
+    "coeff-array-bool": lambda: SCALAR.coeff_array([True]),
+    "poisson-coeff-half": lambda: POISSON.coeff(1.5),
     # callables
     "scale-diagonals-weight-string": lambda: scale_diagonals(A, "x"),
     # entry arrays
@@ -172,6 +193,11 @@ ROWS = {
     "scalar-symbol-values-nan": lambda: SCALAR.values(np.array([0.0, np.nan])),
     "poisson-values-complex": lambda: POISSON.values(1j),
     "operator-symbol-values-infinite": lambda: SYMBOL.values(np.inf),
+    # arithmetic that overflows
+    "operator-block-sum-overflow": lambda: OperatorBlock(HUGE) + OperatorBlock(HUGE),
+    "operator-block-multiple-overflow": lambda: OperatorBlock(HUGE) * 10.0,
+    "operator-block-compose-overflow": lambda: OperatorBlock(HUGE).compose(OperatorBlock(HUGE)),
+    "block-vector-multiple-overflow": lambda: BlockVector(HUGE) * 10.0,
 }
 
 TYPED_ROWS = {
@@ -188,6 +214,16 @@ TYPED_ROWS = {
         (lambda: OperatorBlock(np.eye(2)) - OperatorBlock(np.eye(3)), DimensionMismatchError),
     "basis-part-shape":
         (lambda: BlockVector.basis(4, 2, 0, [1.0, 2.0, 3.0]), DimensionMismatchError),
+    # one block side across the whole map
+    "toeplitz-map-dims":
+        (lambda: BlockMatrix.toeplitz({0: EYE, 1: np.eye(3)}, 4), DimensionMismatchError),
+    "banded-map-dims":
+        (lambda: BlockMatrix.banded({0: np.zeros((4, 2, 2)), 1: np.zeros((3, 3, 3))}, 4),
+         DimensionMismatchError),
+    "operator-symbol-map-dims":
+        (lambda: OperatorSymbol({0: EYE, 1: np.eye(3)}), DimensionMismatchError),
+    "vector-polynomial-map-dims":
+        (lambda: VectorPolynomial({0: np.ones(2), 1: np.ones(3)}), DimensionMismatchError),
 }
 
 
@@ -222,3 +258,20 @@ def test_range_errors_keep_their_types():
     with pytest.raises(ValueError) as err:
         analytic_eval(A, 1.5)
     assert type(err.value) is DiscDomainError
+
+
+@pytest.mark.parametrize(
+    "call, operation",
+    [(lambda: OperatorBlock(HUGE) + OperatorBlock(HUGE), "block sum"),
+     (lambda: OperatorBlock(HUGE) - OperatorBlock(-HUGE), "block difference"),
+     (lambda: OperatorBlock(HUGE) * 10.0, "block multiple"),
+     (lambda: OperatorBlock(HUGE).compose(OperatorBlock(HUGE)), "block composition"),
+     (lambda: BlockVector(HUGE) + BlockVector(HUGE), "vector sum"),
+     (lambda: BlockVector(HUGE) - BlockVector(-HUGE), "vector difference"),
+     (lambda: 10.0 * BlockVector(HUGE), "vector multiple")],
+    ids=["block-sum", "block-difference", "block-multiple", "block-composition",
+         "vector-sum", "vector-difference", "vector-multiple"],
+)
+def test_overflow_names_the_operation(call, operation):
+    with pytest.raises(StructureError, match=f"^{operation} overflows"):
+        call()
