@@ -139,15 +139,33 @@ def _each(values, what: str, check, *args) -> tuple:
     return items
 
 
-def _result(cls, what: str, op, *operands):
-    """``cls(op(*operands))``, without numpy's overflow warnings: a NaN or
-    infinite result is refused as the operation ``what`` overflowing,
-    not as malformed entries."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = op(*operands)
-    if not np.isfinite(out).all():
+def _result(what: str, op, *operands):
+    """``op(*operands)`` under numpy's overflow and invalid-operation
+    flags: a result that leaves the float range is refused as the
+    operation ``what`` overflowing, not as malformed entries."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return op(*operands)
+    except FloatingPointError:
+        raise StructureError(f"{what} overflows: its result is not finite") from None
+
+
+def _finite(what: str, value):
+    """``value``, the result of the operation ``what`` by a routine that
+    sets no floating-point flags, such as einsum or vdot; refused as by
+    :func:`_result` when not finite."""
+    if not np.isfinite(value).all():
         raise StructureError(f"{what} overflows: its result is not finite")
-    return cls(out)
+    return value
+
+
+def _scaled_norm(v: np.ndarray):
+    """Euclidean norm of a nonzero complex ``v``, computed on its real and
+    imaginary parts divided by the largest of them, so that no square
+    over- or underflows and no division is complex."""
+    parts = v.view(float)
+    top = np.abs(parts).max()
+    return top * np.linalg.norm(parts / top)
 
 
 def inner(u: np.ndarray, v: np.ndarray) -> complex:
@@ -155,16 +173,54 @@ def inner(u: np.ndarray, v: np.ndarray) -> complex:
     u, v = _numeric(u, "vector"), _numeric(v, "vector")
     if u.shape != v.shape:
         raise StructureError(f"inner product of vectors of shapes {u.shape} and {v.shape}")
-    return complex(np.vdot(v, u))
+    return complex(_finite("inner product", np.vdot(v, u)))
 
 
-class OperatorBlock:
+class _Value:
+    """Immutable complex array of a ``_what`` shaped as ``_shape``, with
+    the entrywise sum, difference and scalar multiple, named ``<_noun>
+    sum`` and so on when one overflows."""
+
+    __slots__ = ("_a",)
+
+    def __init__(self, entries):
+        self._a = _frozen_copy(_array(entries, self._what, self._shape))
+
+    @property
+    def dim(self) -> int:
+        """Side ``d`` of the coefficient space."""
+        return self._a.shape[-1]
+
+    def _check_shape(self, other, context: str) -> None:
+        if self._a.shape != other._a.shape:
+            raise DimensionMismatchError(self._a.shape, other._a.shape, context)
+
+    def _combine(self, other, op, what: str):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check_shape(other, what)
+        return type(self)(_result(what, op, self._a, other._a))
+
+    def __add__(self, other):
+        return self._combine(other, np.add, f"{self._noun} sum")
+
+    def __sub__(self, other):
+        return self._combine(other, np.subtract, f"{self._noun} difference")
+
+    def __mul__(self, scalar: complex):
+        _complex(scalar, "scalar")  # checked only: a real scalar keeps its signed zeros
+        return type(self)(_result(f"{self._noun} multiple", np.multiply, self._a, scalar))
+
+    __rmul__ = __mul__
+
+
+class OperatorBlock(_Value):
     """A linear operator on C^d held as a d x d complex matrix."""
 
-    __slots__ = ("_m",)
-
-    def __init__(self, matrix):
-        self._m = _frozen_copy(_array(matrix, "operator block", ("d", "d")))
+    __slots__ = ()
+    _what = "operator block"
+    _shape = ("d", "d")
+    _noun = "block"
 
     @classmethod
     def identity(cls, d: int) -> "OperatorBlock":
@@ -186,56 +242,34 @@ class OperatorBlock:
 
     @property
     def matrix(self) -> np.ndarray:
-        return self._m
-
-    @property
-    def dim(self) -> int:
-        return self._m.shape[0]
+        return self._a
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        return self._m @ _array(v, "vector", (self.dim,))
-
-    def _check_dim(self, other: "OperatorBlock", context: str) -> None:
-        if self.dim != other.dim:
-            raise DimensionMismatchError(self._m.shape, other._m.shape, context)
+        return self._a @ _array(v, "vector", (self.dim,))
 
     def compose(self, other: "OperatorBlock") -> "OperatorBlock":
         """Operator composition ``self after other``."""
-        self._check_dim(other, "compose")
-        return _result(OperatorBlock, "block composition", np.matmul, self._m, other._m)
+        self._check_shape(other, "compose")
+        return OperatorBlock(_result("block composition", np.matmul, self._a, other._a))
 
     def adjoint(self) -> "OperatorBlock":
-        return OperatorBlock(self._m.conj().T)
+        return OperatorBlock(self._a.conj().T)
 
     def norm(self) -> float:
         """Operator norm, the top singular value."""
-        return float(np.linalg.norm(self._m, ord=2))
-
-    def __add__(self, other: "OperatorBlock") -> "OperatorBlock":
-        self._check_dim(other, "block sum")
-        return _result(OperatorBlock, "block sum", np.add, self._m, other._m)
-
-    def __sub__(self, other: "OperatorBlock") -> "OperatorBlock":
-        self._check_dim(other, "block difference")
-        return _result(OperatorBlock, "block difference", np.subtract, self._m, other._m)
-
-    def __mul__(self, scalar: complex) -> "OperatorBlock":
-        _complex(scalar, "scalar")  # checked only: a real scalar keeps its signed zeros
-        return _result(OperatorBlock, "block multiple", np.multiply, self._m, scalar)
-
-    __rmul__ = __mul__
+        return float(np.linalg.norm(self._a, ord=2))
 
     def __repr__(self) -> str:
         return f"OperatorBlock(d={self.dim})"
 
 
-class BlockVector:
+class BlockVector(_Value):
     """Element of the direct sum of N copies of C^d, stored as (N, d)."""
 
-    __slots__ = ("_v",)
-
-    def __init__(self, parts):
-        self._v = _frozen_copy(_array(parts, "block vector", ("N", "d")))
+    __slots__ = ()
+    _what = "block vector"
+    _shape = ("N", "d")
+    _noun = "vector"
 
     @classmethod
     def from_flat(cls, flat: np.ndarray, d: int) -> "BlockVector":
@@ -246,7 +280,7 @@ class BlockVector:
         if len(flat) % d:
             raise DimensionMismatchError(flat.shape, (d,), "unflatten")
         vector = object.__new__(cls)
-        vector._v = _frozen_copy(flat.reshape(-1, d))
+        vector._a = _frozen_copy(flat.reshape(-1, d))
         return vector
 
     @classmethod
@@ -262,50 +296,36 @@ class BlockVector:
 
     @property
     def parts(self) -> np.ndarray:
-        return self._v
+        return self._a
 
     @property
     def size(self) -> int:
-        return self._v.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self._v.shape[1]
+        return self._a.shape[0]
 
     def block(self, k: int) -> np.ndarray:
         k = _integer(k, "slot")
         if not 0 <= k < self.size:
             raise IndexError(f"slot {k} outside [0, {self.size})")
-        return self._v[k]
+        return self._a[k]
 
     def flatten(self) -> np.ndarray:
-        return self._v.reshape(-1)
+        return self._a.reshape(-1)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self._v))
+        """Euclidean norm.  Where the plain sum of squares overflows, or
+        underflows below ``2**-500`` for a nonzero vector, it is computed
+        again on the vector divided by its largest modulus; a norm beyond
+        the float range is refused as ``vector norm`` overflowing."""
+        with np.errstate(over="ignore"):
+            value = float(np.linalg.norm(self._a))
+        if value == np.inf or value < 2.0**-500 and self._a.any():
+            value = float(_result("vector norm", _scaled_norm, self._a))
+        return value
 
     def inner(self, other: "BlockVector") -> complex:
         """Sum of the slot-wise C^d inner products, linear in ``self``."""
         self._check_shape(other, "inner")
-        return complex(np.vdot(other._v, self._v))
-
-    def _check_shape(self, other: "BlockVector", context: str) -> None:
-        if self._v.shape != other._v.shape:
-            raise DimensionMismatchError(self._v.shape, other._v.shape, context)
-
-    def __add__(self, other: "BlockVector") -> "BlockVector":
-        self._check_shape(other, "vector sum")
-        return _result(BlockVector, "vector sum", np.add, self._v, other._v)
-
-    def __sub__(self, other: "BlockVector") -> "BlockVector":
-        self._check_shape(other, "vector difference")
-        return _result(BlockVector, "vector difference", np.subtract, self._v, other._v)
-
-    def __mul__(self, scalar: complex) -> "BlockVector":
-        _complex(scalar, "scalar")  # checked only: a real scalar keeps its signed zeros
-        return _result(BlockVector, "vector multiple", np.multiply, self._v, scalar)
-
-    __rmul__ = __mul__
+        return inner(self._a, other._a)
 
     def __repr__(self) -> str:
         return f"BlockVector(size={self.size}, d={self.dim})"
@@ -313,6 +333,8 @@ class BlockVector:
 
 def _svd(m: np.ndarray, compute_uv: bool, what: str):
     m = np.atleast_2d(np.asarray(_numeric(m, "matrix"), dtype=complex))
+    if not np.isfinite(m).all():
+        raise StructureError("matrix entries must be finite")
     try:
         return np.linalg.svd(m, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:

@@ -32,7 +32,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .blocks import BlockVector, OperatorBlock, _array, _complex, _each, _entries, _integer, _real
+from .blocks import (BlockVector, OperatorBlock, _array, _complex, _each, _entries, _finite,
+                     _integer, _numeric, _real, _result)
 from .errors import (
     CoefficientSupportError,
     DiagonalRangeError,
@@ -316,10 +317,10 @@ class BlockMatrix:
             )
 
     def __add__(self, other: "BlockMatrix") -> "BlockMatrix":
-        return _combine(self, other, np.add)
+        return _combine(self, other, np.add, "matrix sum")
 
     def __sub__(self, other: "BlockMatrix") -> "BlockMatrix":
-        return _combine(self, other, np.subtract)
+        return _combine(self, other, np.subtract, "matrix difference")
 
     def __mul__(self, scalar: complex) -> "BlockMatrix":
         scalar = _complex(scalar, "scalar")
@@ -341,13 +342,14 @@ def _joint_structure(a: BlockMatrix, b: BlockMatrix) -> str:
     return TOEPLITZ if a.structure == b.structure == TOEPLITZ else BANDED
 
 
-def _combine(a: BlockMatrix, b: BlockMatrix, op) -> BlockMatrix:
-    """Entrywise binary combination with the usual structure promotion."""
+def _combine(a: BlockMatrix, b: BlockMatrix, op, what: str) -> BlockMatrix:
+    """Entrywise binary combination ``what`` with the usual structure
+    promotion, refused by :func:`blocks._result` when it overflows."""
     a._check_same_shape(b, "entrywise combination")
     if DENSE in (a.structure, b.structure):
-        return BlockMatrix._from_dense(op(a.flatten(), b.flatten()), a.size, a.dim)
+        return BlockMatrix._from_dense(_result(what, op, a.flatten(), b.flatten()), a.size, a.dim)
     support = sorted(set(a.diagonal_support()) | set(b.diagonal_support()))
-    runs = {l: op(a._run(l), b._run(l)) for l in support}
+    runs = _result(what, lambda: {l: op(a._run(l), b._run(l)) for l in support})
     return BlockMatrix._from_runs(_joint_structure(a, b), a.size, a.dim, runs)
 
 
@@ -368,8 +370,8 @@ def schur_product(a: BlockMatrix, b: BlockMatrix) -> BlockMatrix:
         # each operand's blocks copied once, batch axis last, as _compose reads them
         out = _compose(*(np.ascontiguousarray(m.blocks().transpose(2, 3, 0, 1))
                          .reshape(d, d, n * n).transpose(2, 0, 1) for m in (a, b)))
-        return BlockMatrix.dense(out.reshape(n, n, d, d))
-    runs = {l: _compose(a._run(l), b._run(l)) for l in support}
+        return BlockMatrix.dense(_finite("schur product", out).reshape(n, n, d, d))
+    runs = {l: _finite("schur product", _compose(a._run(l), b._run(l))) for l in support}
     return BlockMatrix._from_runs(structure, a.size, a.dim, runs)
 
 
@@ -454,14 +456,24 @@ def truncate(a: BlockMatrix, size: int) -> BlockMatrix:
     return BlockMatrix._from_runs(a.structure, size, a.dim, kept)
 
 
+def _weights(weight, offsets: np.ndarray) -> np.ndarray:
+    """``weight(offsets)``, refused unless finite numbers of the offsets' shape."""
+    weights = _numeric(weight(offsets), "diagonal weight")
+    if weights.shape != offsets.shape or not np.isfinite(weights).all():
+        raise StructureError(f"diagonal weights must be finite numbers of shape "
+                             f"{offsets.shape}, got {weights.dtype} {weights.shape}")
+    return weights
+
+
 def scale_diagonals(a: BlockMatrix, weight, support=None) -> BlockMatrix:
     """Rescale diagonal ``l`` by ``weight(l)``, keeping only ``l in support``.
 
     This is the Schur product with the toeplitz mask whose diagonal
     ``l`` is ``weight(l) Id``.  ``weight`` maps an integer array of
-    offsets to an array of scalars of the same shape.  ``support``
-    (``None`` keeps every stored diagonal) should answer ``in`` in
-    O(1), like a ``range`` or a ``frozenset``.  A dense input stays
+    offsets to an array of finite scalars of the same shape; anything
+    else, and a scaling that overflows, is a :class:`StructureError`.
+    ``support`` (``None`` keeps every stored diagonal) should answer
+    ``in`` in O(1), like a ``range`` or a ``frozenset``.  A dense input stays
     dense only when it keeps all ``2N - 1`` diagonals; otherwise the
     result is banded, or toeplitz for a toeplitz input.
     """
@@ -471,13 +483,14 @@ def scale_diagonals(a: BlockMatrix, weight, support=None) -> BlockMatrix:
     if a.structure == DENSE and len(kept) == 2 * a.size - 1:
         # entry (k, j) takes the weight of offset j - k, at position j - k + N - 1
         index = np.arange(a.size)
-        weights = weight(np.arange(1 - a.size, a.size))
+        weights = _weights(weight, np.arange(1 - a.size, a.size))
         gathered = weights[index[None, :] - index[:, None] + a.size - 1]
         flat = a.flatten()
-        scaled = flat.reshape(a.size, a.dim, a.size, a.dim) * gathered[:, None, :, None]
+        scaled = _result("diagonal scaling", np.multiply,
+                         flat.reshape(a.size, a.dim, a.size, a.dim), gathered[:, None, :, None])
         return BlockMatrix._from_dense(scaled.reshape(flat.shape), a.size, a.dim)
-    weights = weight(np.array(kept, dtype=int))
-    runs = {l: w * a._run(l) for l, w in zip(kept, weights)}
+    weights = _weights(weight, np.array(kept, dtype=int))
+    runs = _result("diagonal scaling", lambda: {l: w * a._run(l) for l, w in zip(kept, weights)})
     return BlockMatrix._from_runs(_joint_structure(a, a), a.size, a.dim, runs)
 
 

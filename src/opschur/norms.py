@@ -12,13 +12,13 @@ reported as exact.
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .blocks import BlockVector, _integer, _numeric, singular_triples
+from .blocks import BlockVector, _integer, _numeric, _result, singular_triples
 from .errors import NonConvergenceError, StructureError
 from .kernels import _spawned_rngs, modulation_mask, torus_grid
 from .matrices import (
@@ -164,7 +164,10 @@ def op_norm(a: BlockMatrix) -> NormEstimate:
     vector; the value and certificate keep the same meaning and rule.
     Dense matrices and wider bands get ``EXACT_SVD_LIMIT`` steps.
     Whatever does not converge takes the exact path while its dense
-    form fits ``matrices.DENSE_BYTES_LIMIT``.
+    form fits ``matrices.DENSE_BYTES_LIMIT``.  When ``A* A`` would over-
+    or underflow, read off its first product, the estimate is that of
+    ``a * 2**-k`` for the power of two nearest the largest block norm,
+    an exact scaling, with the value ``|apply(a, v)|`` on ``a`` itself.
 
     Raises
     ------
@@ -173,9 +176,21 @@ def op_norm(a: BlockMatrix) -> NormEstimate:
     """
     if a.flat_size <= EXACT_SVD_LIMIT:
         return _exact_estimate(a)
-    gram, band = _gram_operator(a)
+    rng = np.random.default_rng(0)
+    start = rng.standard_normal(a.flat_size) + 1j * rng.standard_normal(a.flat_size)
+    start /= np.linalg.norm(start)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram, band = _gram_operator(a)
+        first = gram(start)
+        reach = np.linalg.norm(first)
+    # A* A over- or underflows: norm a * 2^-k instead, exactly scaled to unit size
+    if not 2.0**-900 <= reach <= 2.0**900 and (top := a.max_block_norm()) and (
+            k := int(np.clip(np.rint(np.log2(top)), -1022, 1023))):
+        estimate = op_norm(a * 2.0**-k)
+        return replace(estimate, value=_result("vector norm", lambda: apply(
+            a, estimate.certificate).norm()))
     steps = EXACT_SVD_LIMIT if band is None else _HANDOFF_STEPS
-    vector, iterations, converged = _lanczos(gram, a.flat_size, steps)
+    vector, iterations, converged = _lanczos(gram, start, first, steps)
     kind = "lanczos"
     if not converged and band is not None:
         with suppress(NonConvergenceError):  # a failed finish falls back like Lanczos
@@ -210,10 +225,11 @@ def _gram_operator(a: BlockMatrix) -> tuple[Callable, tuple | None]:
     return (lambda x: apply(a_star, apply(a, BlockVector.from_flat(x, a.dim))).flatten()), None
 
 
-def _lanczos(gram, n: int, steps: int) -> tuple[np.ndarray, int, bool]:
+def _lanczos(gram, q: np.ndarray, w: np.ndarray, steps: int) -> tuple[np.ndarray, int, bool]:
     """Top Ritz vector of ``A* A`` by Lanczos.
 
-    ``gram`` applies ``A* A`` to flat vectors of length ``n``.  Every
+    ``gram`` applies ``A* A`` to flat vectors, from the unit start vector
+    ``q`` and its first product ``w = gram(q)``.  Every
     new Krylov vector is orthogonalized twice against the whole basis;
     in exact arithmetic the Ritz values are the squares of those of
     Golub-Kahan bidiagonalization from the same seeded start vector.
@@ -224,9 +240,7 @@ def _lanczos(gram, n: int, steps: int) -> tuple[np.ndarray, int, bool]:
     held)`` for the unit top Ritz vector ``v``; after ``steps`` steps
     without convergence, the last one.
     """
-    rng = np.random.default_rng(0)
-    q = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    q /= np.linalg.norm(q)
+    n = len(q)
     # Grown by doubling: numpy advises huge pages for arrays of 4 MiB or
     # more, so a full-size basis costs 2 MiB resident from its first row.
     basis = np.empty((min(steps, 16), n), dtype=complex)
@@ -239,7 +253,6 @@ def _lanczos(gram, n: int, steps: int) -> tuple[np.ndarray, int, bool]:
             basis = grown
         basis[k] = q
         span = basis[: k + 1]
-        w = gram(q)
         alphas.append(float(np.real(np.vdot(q, w))))
         for _ in range(2):
             w = w - (span @ w.conj()).conj() @ span
@@ -257,6 +270,7 @@ def _lanczos(gram, n: int, steps: int) -> tuple[np.ndarray, int, bool]:
                 break
         betas.append(beta)
         q = w / beta
+        w = gram(q)
     v = y @ span
     return v / np.linalg.norm(v), k + 1, converged
 

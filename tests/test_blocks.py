@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from opschur.blocks import (
     BlockVector,
     OperatorBlock,
+    _result,
     inner,
     singular_triples,
     singular_values,
@@ -15,6 +16,9 @@ from opschur.errors import DimensionMismatchError, StructureError
 from oracles import gaussian, matmul_reference
 
 seeds = st.integers(min_value=0, max_value=10**6)
+# finite entries up to the largest float, so that sums and products overflow often
+entries = st.complex_numbers(max_magnitude=1.7e308, allow_infinity=False, allow_nan=False)
+operands = st.lists(entries, min_size=4, max_size=4).map(lambda v: np.array(v).reshape(2, 2))
 
 
 class TestOperatorBlock:
@@ -180,6 +184,36 @@ class TestBlockVector:
         v = BlockVector(np.zeros((4, 2)))
         with pytest.raises(DimensionMismatchError):
             u + v
+
+    def test_norm_is_plain_in_range(self):
+        rng = np.random.default_rng(13)
+        parts = gaussian(rng, (5, 3))
+        assert BlockVector(parts).norm() == float(np.linalg.norm(parts))
+
+    @pytest.mark.parametrize("scale", [1e300, 1e-200, 1e-300])
+    def test_norm_survives_squares_out_of_range(self, scale):
+        # the squares of these entries over- or underflow
+        parts = np.array([[3.0, 4.0j]])
+        assert BlockVector(scale * parts).norm() == pytest.approx(5 * scale, rel=1e-15)
+
+
+def test_blocks_and_vectors_do_not_mix():
+    with pytest.raises(TypeError):
+        OperatorBlock(np.eye(1)) + BlockVector(np.ones((1, 1)))
+    with pytest.raises(TypeError):
+        BlockVector(np.ones((1, 1))) - OperatorBlock(np.eye(1))
+
+
+@given(st.sampled_from([np.add, np.subtract, np.multiply, np.matmul]), operands, operands)
+@settings(max_examples=200, deadline=None)
+def test_result_refuses_exactly_the_non_finite(op, x, y):
+    with np.errstate(all="ignore"):
+        expected = op(x, y)
+    if np.isfinite(expected).all():
+        np.testing.assert_array_equal(_result("operation", op, x, y), expected)
+    else:
+        with pytest.raises(StructureError, match="^operation overflows"):
+            _result("operation", op, x, y)
 
 
 class TestSingularValues:

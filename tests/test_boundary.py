@@ -8,7 +8,9 @@ is not a mapping or is empty, a coefficient offset that is not an
 integer, a weight that is not callable, angles that are complex or not
 finite, an entry array of strings, bools or objects, ragged, empty or
 with a NaN or infinite entry, given to a constructor or to a function
-that reads arrays, or block or vector arithmetic whose result
+that reads arrays, a diagonal weight that returns anything but finite
+numbers of the offsets' shape, or block, vector or matrix arithmetic, a
+Schur product, an inner product or a vector norm whose result
 overflows.  Each refusal is a :class:`StructureError`; none is numpy's
 or Python's bare error or warning, and none is a silent cast or
 default.  Offsets outside the truncation window and entry arrays of the
@@ -53,6 +55,7 @@ from opschur.matrices import (
     random_toeplitz,
     random_vector,
     scale_diagonals,
+    schur_product,
     tensor_scalar,
     truncate,
 )
@@ -68,6 +71,9 @@ POLYNOMIAL = VectorPolynomial({0: np.ones(2)})
 SCALAR = ScalarSymbol.trig_polynomial({0: 1.0})
 POISSON = ScalarSymbol.poisson(0.5)
 HUGE = np.full((1, 1), 1e308)
+HUGE_MATRIX = BlockMatrix.toeplitz({0: HUGE}, 2)
+# stores offsets 0 and 1, so a weight must give two numbers
+BAND = BlockMatrix.toeplitz({0: EYE, 1: EYE}, 4)
 
 ROWS = {
     # sizes and dims below their floor
@@ -150,6 +156,11 @@ ROWS = {
     "poisson-coeff-half": lambda: POISSON.coeff(1.5),
     # callables
     "scale-diagonals-weight-string": lambda: scale_diagonals(A, "x"),
+    # what a weight returns
+    "scale-diagonals-weight-scalar": lambda: scale_diagonals(BAND, lambda l: 2.0),
+    "scale-diagonals-weight-strings": lambda: scale_diagonals(BAND, lambda l: ["x", "y"]),
+    "scale-diagonals-weight-nan": lambda: scale_diagonals(BAND, lambda l: np.full(2, np.nan)),
+    "scale-diagonals-weight-short": lambda: scale_diagonals(BAND, lambda l: np.ones(1)),
     # entry arrays
     "dense-string": lambda: BlockMatrix.dense("x"),
     "toeplitz-block-string": lambda: BlockMatrix.toeplitz({0: "x"}, 4),
@@ -168,6 +179,8 @@ ROWS = {
     "basis-part-string": lambda: BlockVector.basis(4, 2, 0, "x"),
     "power-iteration-string": lambda: power_iteration("x"),
     "singular-values-string": lambda: singular_values("x"),
+    "singular-values-infinite": lambda: singular_values(np.full((2, 2), np.inf)),
+    "singular-values-nan": lambda: singular_values(np.full((2, 2), np.nan)),
     "inner-strings": lambda: inner("x", "y"),
     "scalar-symbol-values-string": lambda: SCALAR.values("x"),
     "poisson-values-string": lambda: POISSON.values("x"),
@@ -198,6 +211,13 @@ ROWS = {
     "operator-block-multiple-overflow": lambda: OperatorBlock(HUGE) * 10.0,
     "operator-block-compose-overflow": lambda: OperatorBlock(HUGE).compose(OperatorBlock(HUGE)),
     "block-vector-multiple-overflow": lambda: BlockVector(HUGE) * 10.0,
+    "matrix-sum-overflow": lambda: HUGE_MATRIX + HUGE_MATRIX,
+    "matrix-difference-overflow": lambda: HUGE_MATRIX - BlockMatrix.toeplitz({0: -HUGE}, 2),
+    "diagonal-scaling-overflow": lambda: HUGE_MATRIX * 10.0,
+    "schur-product-overflow": lambda: schur_product(HUGE_MATRIX, HUGE_MATRIX),
+    "inner-overflow": lambda: inner(HUGE[0], HUGE[0]),
+    "block-vector-inner-overflow": lambda: BlockVector(HUGE).inner(BlockVector(HUGE)),
+    "block-vector-norm-overflow": lambda: BlockVector(np.full((1, 2), 1.7e308)).norm(),
 }
 
 TYPED_ROWS = {
@@ -268,9 +288,17 @@ def test_range_errors_keep_their_types():
      (lambda: OperatorBlock(HUGE).compose(OperatorBlock(HUGE)), "block composition"),
      (lambda: BlockVector(HUGE) + BlockVector(HUGE), "vector sum"),
      (lambda: BlockVector(HUGE) - BlockVector(-HUGE), "vector difference"),
-     (lambda: 10.0 * BlockVector(HUGE), "vector multiple")],
+     (lambda: 10.0 * BlockVector(HUGE), "vector multiple"),
+     (lambda: HUGE_MATRIX + HUGE_MATRIX, "matrix sum"),
+     (lambda: HUGE_MATRIX - (-1.0 * HUGE_MATRIX), "matrix difference"),
+     (lambda: 10.0 * BlockMatrix.dense(np.full((2, 2, 1, 1), 1e308)), "diagonal scaling"),
+     (lambda: schur_product(HUGE_MATRIX, HUGE_MATRIX), "schur product"),
+     (lambda: BlockVector(np.full((1, 2), 1.7e308)).norm(), "vector norm"),
+     (lambda: BlockVector(HUGE).inner(BlockVector(HUGE)), "inner product")],
     ids=["block-sum", "block-difference", "block-multiple", "block-composition",
-         "vector-sum", "vector-difference", "vector-multiple"],
+         "vector-sum", "vector-difference", "vector-multiple", "matrix-sum",
+         "matrix-difference", "diagonal-scaling", "schur-product", "vector-norm",
+         "inner-product"],
 )
 def test_overflow_names_the_operation(call, operation):
     with pytest.raises(StructureError, match=f"^{operation} overflows"):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from opschur import matrices, norms
 from opschur.analysis import OperatorSymbol, VectorPolynomial
-from opschur.blocks import BlockVector
+from opschur.blocks import BlockVector, singular_values
 from opschur.errors import NonConvergenceError, StructureError
 from opschur.kernels import ScalarSymbol, mask, torus_grid
 from opschur.matrices import (
@@ -20,6 +20,7 @@ from opschur.matrices import (
 )
 from opschur.norms import (
     EXACT_SVD_LIMIT,
+    POWER_TOLERANCE,
     NormEstimate,
     multiplier_lower_bound,
     op_norm,
@@ -132,6 +133,20 @@ class TestLanczos:
         estimate = op_norm(BlockMatrix.banded({0: np.zeros((300, 2, 2))}, 300))
         assert estimate.kind == "lanczos"
         assert estimate.value == 0.0
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-160, 1e-200])
+    @pytest.mark.parametrize("structure", ["banded", "dense"])
+    def test_entries_out_of_square_range(self, structure, scale):
+        # A* A over- or underflows: the norm comes from a * 2^-k
+        if structure == "banded":
+            a = BlockMatrix.banded({0: np.full((600, 1, 1), scale),
+                                    1: np.full((599, 1, 1), scale)}, 600)
+        else:
+            a = BlockMatrix.dense(np.full((300, 300, 2, 2), scale))
+        estimate = op_norm(a)
+        assert estimate.value == apply(a, estimate.certificate).norm()
+        exact = singular_values(a.flatten())[0]
+        assert estimate.value == pytest.approx(exact, rel=POWER_TOLERANCE)
 
     def test_cap_falls_back_to_exact_on_feasible_sizes(self, monkeypatch):
         monkeypatch.setattr(norms, "EXACT_SVD_LIMIT", 4)
