@@ -382,20 +382,26 @@ def apply(a: BlockMatrix, x: BlockVector) -> BlockVector:
     toeplitz matrices never materialize their dense form here: a
     constant diagonal (a run of one block) is one BLAS product with it,
     any other run one einsum.  A dense matrix is one product with its
-    stored flattening, which is never copied.
+    stored flattening, which is never copied.  A product that overflows
+    is refused as the ``matrix action`` overflowing.
     """
     if x.size != a.size or x.dim != a.dim:
         raise DimensionMismatchError((a.size, a.dim), (x.size, x.dim), "apply")
     if a.structure == DENSE:
-        return BlockVector.from_flat(a.flatten() @ x.flatten(), a.dim)
+        flat = _result("matrix action", np.matmul, a.flatten(), x.flatten())
+        return BlockVector.from_flat(flat, a.dim)
     out = np.zeros((a.size, a.dim), dtype=complex)
-    for offset, run in a._diagonals.items():
-        lo, hi = max(0, -offset), a.size - max(0, offset)
-        part = x.parts[lo + offset:hi + offset]
-        if len(run) == 1:
-            out[lo:hi] += part @ run[0].T
-        else:
-            out[lo:hi] += np.einsum("kab,kb->ka", run, part)
+
+    def accumulate():
+        for offset, run in a._diagonals.items():
+            lo, hi = max(0, -offset), a.size - max(0, offset)
+            part = x.parts[lo + offset:hi + offset]
+            if len(run) == 1:
+                out[lo:hi] += part @ run[0].T
+            else:
+                out[lo:hi] += _finite("matrix action", np.einsum("kab,kb->ka", run, part))
+
+    _result("matrix action", accumulate)
     return BlockVector(out)
 
 
@@ -426,7 +432,8 @@ def rank_one(x: BlockVector, y: BlockVector) -> BlockMatrix:
     """
     if x.dim != y.dim or x.size != y.size:
         raise DimensionMismatchError((x.size, x.dim), (y.size, y.dim), "rank one")
-    return BlockMatrix.dense(np.einsum("ka,jb->kjab", y.parts, x.parts.conj()))
+    blocks = np.einsum("ka,jb->kjab", y.parts, x.parts.conj())
+    return BlockMatrix.dense(_finite("rank one", blocks))
 
 
 def tensor_scalar(scalar_matrix: np.ndarray, t) -> BlockMatrix:
@@ -438,7 +445,7 @@ def tensor_scalar(scalar_matrix: np.ndarray, t) -> BlockMatrix:
     """
     arr = _array(scalar_matrix, "scalar matrix", ("N", "N"))
     block = (t if isinstance(t, OperatorBlock) else OperatorBlock(t)).matrix
-    return BlockMatrix.dense(np.einsum("kj,ab->kjab", arr, block))
+    return BlockMatrix.dense(_finite("tensor scalar", np.einsum("kj,ab->kjab", arr, block)))
 
 
 def truncate(a: BlockMatrix, size: int) -> BlockMatrix:

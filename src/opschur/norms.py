@@ -165,7 +165,8 @@ def op_norm(a: BlockMatrix) -> NormEstimate:
     Dense matrices and wider bands get ``EXACT_SVD_LIMIT`` steps.
     Whatever does not converge takes the exact path while its dense
     form fits ``matrices.DENSE_BYTES_LIMIT``.  When ``A* A`` would over-
-    or underflow, read off its first product, the estimate is that of
+    or underflow, as its first product shows (or :func:`apply` refuses
+    it as an overflow), the estimate is that of
     ``a * 2**-k`` for the power of two nearest the largest block norm,
     an exact scaling, with the value ``|apply(a, v)|`` on ``a`` itself.
 
@@ -181,8 +182,10 @@ def op_norm(a: BlockMatrix) -> NormEstimate:
     start /= np.linalg.norm(start)
     with np.errstate(over="ignore", invalid="ignore"):
         gram, band = _gram_operator(a)
-        first = gram(start)
-        reach = np.linalg.norm(first)
+        try:
+            reach = np.linalg.norm(first := gram(start))
+        except StructureError:  # apply refuses an overflowing product outright
+            reach = np.inf
     # A* A over- or underflows: norm a * 2^-k instead, exactly scaled to unit size
     if not 2.0**-900 <= reach <= 2.0**900 and (top := a.max_block_norm()) and (
             k := int(np.clip(np.rint(np.log2(top)), -1022, 1023))):

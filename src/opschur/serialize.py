@@ -41,6 +41,9 @@ __all__ = [
 
 CSV_SIGNIFICANT_DIGITS = 12
 
+# Payload field of a stored diagonal: one toeplitz block, or a banded run of blocks.
+_RUN_FIELD = {TOEPLITZ: "block", BANDED: "blocks"}
+
 
 def dumps_canonical(payload) -> str:
     """Deterministic JSON text: sorted keys, compact, newline-terminated;
@@ -168,7 +171,7 @@ def _bad_place(value, shape: tuple, field: str, index: tuple = ()) -> None:
     elif not isinstance(value, list) or len(value) != shape[depth]:
         left = len(shape) - depth
         where = "".join(f"[{i}]" for i in index[: len(shape) - 2]) if left <= 2 else ""
-        what = {1: "entries per row", 2: "rows"}.get(left, "columns" if depth else "rows")
+        what = {1: "entries per row", 3: "columns" if depth else "blocks"}.get(left, "rows")
         raise SerializationError(field + where, f"expected {shape[depth]} {what}")
     else:
         for i, item in enumerate(value):
@@ -186,14 +189,10 @@ def matrix_to_payload(a: BlockMatrix) -> dict:
     }
     if a.structure == DENSE:
         payload["data"] = _pairs(a.blocks())
-    elif a.structure == TOEPLITZ:
+    else:  # a toeplitz diagonal is its one stored block, never broadcast to N
+        field = _RUN_FIELD[a.structure]
         payload["data"] = [
-            {"offset": l, "block": _pairs(a.entry(max(0, -l), max(0, l)).matrix)}
-            for l in a.diagonal_support()
-        ]
-    else:
-        payload["data"] = [
-            {"offset": l, "blocks": _pairs(a.diagonal_run(l))}
+            {"offset": l, field: _pairs(a.diagonal_run(l) if field == "blocks" else a._run(l)[0])}
             for l in a.diagonal_support()
         ]
     return payload
@@ -215,22 +214,15 @@ def matrix_from_payload(payload: dict) -> BlockMatrix:
     data = _require(payload, "data", list)
     if structure == DENSE:
         matrix = BlockMatrix.dense(_parse_pairs(data, (size, size, dim, dim), "data"))
-    elif structure == TOEPLITZ:
-        coeffs = {}
-        for offset, item in _offset_items(data, "data", size):
-            coeffs[offset] = _parse_pairs(_require(item, "block"), (dim, dim), f"offset {offset}")
-        matrix = BlockMatrix.toeplitz(coeffs, size)
-    elif structure == BANDED:
-        diagonals = {}
-        for offset, item in _offset_items(data, "data", size):
-            name, length = f"offset {offset}", size - abs(offset)
-            runs = _require(item, "blocks", list)
-            if len(runs) != length:
-                raise SerializationError("blocks", f"{name} needs {length} blocks")
-            diagonals[offset] = _parse_pairs(runs, (length, dim, dim), name)
-        matrix = BlockMatrix.banded(diagonals, size)
-    else:
+    elif (field := _RUN_FIELD.get(structure)) is None:
         raise SerializationError("structure", f"unknown structure {structure!r}")
+    else:  # offsets and cells are all checked here, so each parsed run is stored as it is
+        runs = {}
+        for l, item in _offset_items(data, "data", size):
+            shape = (size - abs(l), dim, dim) if field == "blocks" else (dim, dim)
+            run = _parse_pairs(_require(item, field), shape, f"offset {l}")
+            runs[l] = run.reshape(-1, dim, dim)
+        matrix = BlockMatrix._from_runs(structure, size, dim, runs)
     if matrix.upper_triangular != upper:
         raise SerializationError("upper_triangular", "contradicts the entries")
     return matrix

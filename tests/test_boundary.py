@@ -10,12 +10,13 @@ finite, an entry array of strings, bools or objects, ragged, empty or
 with a NaN or infinite entry, given to a constructor or to a function
 that reads arrays, a diagonal weight that returns anything but finite
 numbers of the offsets' shape, or block, vector or matrix arithmetic, a
-Schur product, an inner product or a vector norm whose result
-overflows.  Each refusal is a :class:`StructureError`; none is numpy's
-or Python's bare error or warning, and none is a silent cast or
-default.  Offsets outside the truncation window and entry arrays of the
-wrong shape, such as blocks of different dims within one map, keep
-their own types, in ``TYPED_ROWS``."""
+Schur product, an inner product, a vector norm, a matrix action, a
+rank-one or a tensor-scalar matrix whose result overflows.  Each
+refusal is a :class:`StructureError`; none is numpy's or Python's bare
+error or warning, and none is a silent cast or default.  Offsets
+outside the truncation window and entry arrays of the wrong shape, such
+as blocks of different dims within one map, keep their own types, in
+``TYPED_ROWS``."""
 
 import tracemalloc
 
@@ -50,10 +51,12 @@ from opschur.kernels import (
 from opschur.matrices import (
     BlockMatrix,
     allclose,
+    apply,
     random_banded,
     random_dense,
     random_toeplitz,
     random_vector,
+    rank_one,
     scale_diagonals,
     schur_product,
     tensor_scalar,
@@ -294,11 +297,21 @@ def test_range_errors_keep_their_types():
      (lambda: 10.0 * BlockMatrix.dense(np.full((2, 2, 1, 1), 1e308)), "diagonal scaling"),
      (lambda: schur_product(HUGE_MATRIX, HUGE_MATRIX), "schur product"),
      (lambda: BlockVector(np.full((1, 2), 1.7e308)).norm(), "vector norm"),
-     (lambda: BlockVector(HUGE).inner(BlockVector(HUGE)), "inner product")],
+     (lambda: BlockVector(HUGE).inner(BlockVector(HUGE)), "inner product"),
+     (lambda: apply(BlockMatrix.toeplitz({0: HUGE, 1: HUGE}, 2), BlockVector([[1.0], [1.0]])),
+      "matrix action"),
+     # a run of two blocks, so the product is an einsum, which sets no flags
+     (lambda: apply(BlockMatrix.banded({0: [HUGE, HUGE]}, 2), BlockVector([[10.0], [1.0]])),
+      "matrix action"),
+     (lambda: apply(BlockMatrix.dense(np.full((2, 2, 1, 1), 1e308)),
+                    BlockVector([[1.0], [1.0]])), "matrix action"),
+     (lambda: rank_one(BlockVector(HUGE), BlockVector(HUGE)), "rank one"),
+     (lambda: tensor_scalar(HUGE, HUGE), "tensor scalar")],
     ids=["block-sum", "block-difference", "block-multiple", "block-composition",
          "vector-sum", "vector-difference", "vector-multiple", "matrix-sum",
          "matrix-difference", "diagonal-scaling", "schur-product", "vector-norm",
-         "inner-product"],
+         "inner-product", "toeplitz-action", "banded-action", "dense-action", "rank-one",
+         "tensor-scalar"],
 )
 def test_overflow_names_the_operation(call, operation):
     with pytest.raises(StructureError, match=f"^{operation} overflows"):

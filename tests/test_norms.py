@@ -148,6 +148,16 @@ class TestLanczos:
         exact = singular_values(a.flatten())[0]
         assert estimate.value == pytest.approx(exact, rel=POWER_TOLERANCE)
 
+    def test_wide_band_out_of_square_range(self):
+        # too wide for the super-blocks: the first Gram product is apply, which
+        # refuses the overflow, and the norm comes from a * 2^-k as above
+        a = BlockMatrix.banded(
+            {l: np.full((600 - abs(l), 1, 1), 1e200) for l in range(-100, 101)}, 600)
+        estimate = op_norm(a)
+        assert estimate.value == apply(a, estimate.certificate).norm()
+        exact = 1e200 * singular_values((a * 1e-200).flatten())[0]
+        assert estimate.value == pytest.approx(exact, rel=POWER_TOLERANCE)
+
     def test_cap_falls_back_to_exact_on_feasible_sizes(self, monkeypatch):
         monkeypatch.setattr(norms, "EXACT_SVD_LIMIT", 4)
         a = random_dense(10, 2, np.random.default_rng(14))

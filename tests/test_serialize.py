@@ -129,6 +129,17 @@ class TestMatrixPayload:
         with pytest.raises(SerializationError):
             matrix_from_payload(payload)
 
+    def test_read_back_keeps_structure_and_stored_runs(self):
+        rng = np.random.default_rng(3)
+        dense, t, b = _samples(rng)
+        for a in (dense, t, b, t + b):  # t + b stores offset 2 as a constant run
+            back = matrix_from_payload(json.loads(dumps_canonical(matrix_to_payload(a))))
+            assert back.structure == a.structure
+            for l in a.diagonal_support():
+                run = back.diagonal_run(l)
+                assert run.tobytes() == a.diagonal_run(l).tobytes()
+                assert not run.flags.writeable
+
     def test_wrong_type_tag_rejected(self):
         with pytest.raises(SerializationError):
             matrix_from_payload({"type": "scalar_symbol"})
@@ -187,6 +198,10 @@ def _infinite_run(p):
     p["data"][1]["blocks"][2][0][0] = [float("-inf"), 1.0]
 
 
+def _short_run(p):
+    p["data"][1]["blocks"].pop()
+
+
 def _boolean_cell(p):
     p["data"][0]["block"][0][0] = [True, False]
 
@@ -223,6 +238,8 @@ MALFORMED = {
     "nan-dense-cell": (_dense_payload, _nan_cell, "data"),
     "infinite-toeplitz-block": (_toeplitz_payload, _infinite_block, "offset 1"),
     "infinite-banded-run": (_banded_payload, _infinite_run, "offset 1"),
+    "short-banded-run": (_banded_payload, _short_run, "offset 1"),
+    "non-list-banded-run": (_banded_payload, _put(7, "data", 1, "blocks"), "offset 1"),
     "boolean-cell": (_toeplitz_payload, _boolean_cell, "offset 0[0][0]"),
     "overflowing-cell": (_banded_payload, _overflowing_cell, "offset 0[0][1][1]"),
     "numeric-string-cell": (
