@@ -98,19 +98,13 @@ class ConvergenceProfile:
     floor: float
 
 
-def _profile_verdict(
-    a: BlockMatrix,
-    family: Callable[[float], ScalarSymbol],
-    indices: Sequence[float],
-    tolerance: float | None,
-) -> ConvergenceProfile:
+def _profile_verdict(a: BlockMatrix, family: Callable[[float], ScalarSymbol],
+                     indices: Sequence[float]) -> ConvergenceProfile:
     """Distances ``|smooth(a, family(i)) - a|`` along ``indices``, with the
-    default tolerance of :func:`smoothing_profile` and the verdict of
+    tolerance of :func:`smoothing_profile` and the verdict of
     :class:`ConvergenceProfile`."""
-    tolerance = None if tolerance is None else _real(tolerance, "tolerance")
     reference = op_norm(a).value
-    if tolerance is None:
-        tolerance = RELATIVE_PROFILE_TOLERANCE * reference
+    tolerance = RELATIVE_PROFILE_TOLERANCE * reference
     distances = [op_norm(smooth(a, family(i)) - a).value for i in indices]
     n = len(distances)
     threshold_pos = None
@@ -143,18 +137,14 @@ def modulate(a: BlockMatrix, angle: float) -> BlockMatrix:
     return scale_diagonals(a, lambda offsets: np.exp(1j * angle * offsets))
 
 
-def smoothing_profile(
-    a: BlockMatrix,
-    kernel: SummabilityKernel,
-    orders: Sequence[int],
-    tolerance: float | None = None,
-) -> ConvergenceProfile:
+def smoothing_profile(a: BlockMatrix, kernel: SummabilityKernel,
+                      orders: Sequence[int]) -> ConvergenceProfile:
     """Distances ``|smooth(a, kernel(n)) - a|`` along a family of orders.
 
-    The default tolerance is ``RELATIVE_PROFILE_TOLERANCE`` times the
-    operator norm of ``a``.
+    The tolerance is ``RELATIVE_PROFILE_TOLERANCE`` times the operator
+    norm of ``a``.
     """
-    return _profile_verdict(a, kernel, _each(orders, "profile order", _integer, 0), tolerance)
+    return _profile_verdict(a, kernel, _each(orders, "profile order", _integer, 0))
 
 
 def dilation_matrix(size: int, dim: int) -> BlockMatrix:
@@ -332,20 +322,16 @@ class BoundaryProfile:
     poisson: ConvergenceProfile
 
 
-def boundary_profile(
-    a: BlockMatrix,
-    radii: Sequence[float],
-    tolerance: float | None = None,
-) -> BoundaryProfile:
+def boundary_profile(a: BlockMatrix, radii: Sequence[float]) -> BoundaryProfile:
     """Profile the analytic extension along circles of growing radius.
 
     The supremum over each circle is taken on a uniform grid of
     ``BOUNDARY_ANGLES`` angles; modulation invariance makes the norm
     constant in the angle, so a small grid suffices.  The Poisson
-    distances default to the tolerance of :func:`smoothing_profile`.
+    distances use the tolerance of :func:`smoothing_profile`.
     """
     radii = _each(radii, "radius", _real)
-    profile = _profile_verdict(a, ScalarSymbol.poisson, radii, tolerance)
+    profile = _profile_verdict(a, ScalarSymbol.poisson, radii)
     angles = 2 * np.pi * np.arange(BOUNDARY_ANGLES) / BOUNDARY_ANGLES
     sups = tuple(
         max(op_norm(analytic_eval(a, r * np.exp(1j * t))).value for t in angles)

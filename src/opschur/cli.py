@@ -8,7 +8,6 @@ assertion.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from pathlib import Path
@@ -16,7 +15,7 @@ from pathlib import Path
 from . import matrices
 from .errors import NonConvergenceError, SerializationError
 from .experiments import (
-    TOLERANCE_KEYS,
+    MIN_SIZE,
     ExperimentConfig,
     ExperimentResult,
     experiment_names,
@@ -61,9 +60,6 @@ def _build_parser() -> _Parser:
                      help="output file format")
     run.add_argument("--check", action="store_true",
                      help="exit 3 if any assertion fails")
-    run.add_argument("--tolerance", action="append", default=[],
-                     metavar="KEY=VALUE", help="tolerance override,"
-                     " e.g. profile=1e-4 (repeatable)")
 
     conv = sub.add_parser("convert", help="re-serialize a matrix payload",
                           description="read a matrix payload and write it"
@@ -75,24 +71,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_tolerances(pairs: list[str], parser: _Parser) -> dict[str, float]:
-    tolerances = {}
-    for pair in pairs:
-        key, sep, raw = pair.partition("=")
-        if not sep or not key:
-            parser.error(f"--tolerance expects KEY=VALUE, got {pair!r}")
-        try:
-            value = float(raw)
-        except ValueError:
-            parser.error(f"--tolerance value for {key!r} is not a number")
-        if key not in TOLERANCE_KEYS:
-            parser.error(f"unknown --tolerance key {key!r}, not in {TOLERANCE_KEYS}")
-        if not (math.isfinite(value) and value > 0):
-            parser.error(f"--tolerance value for {key!r} must be finite and positive")
-        tolerances[key] = value
-    return tolerances
-
-
 def _result_payload(result: ExperimentResult) -> dict:
     return {
         "type": "experiment",
@@ -101,7 +79,7 @@ def _result_payload(result: ExperimentResult) -> dict:
             "d": result.config.dim,
             "N": result.config.size,
             "seed": result.config.seed,
-            "tolerances": dict(result.config.tolerances),
+            "tolerances": {},  # no longer settable; kept so result bytes hold
         },
         "tables": [
             {
@@ -137,11 +115,10 @@ def _write_result(result: ExperimentResult, out_dir: Path, fmt: str) -> None:
 
 
 def _run_command(args, parser: _Parser) -> int:
-    tolerances = _parse_tolerances(args.tolerance, parser)
     if args.dim < 1:
         parser.error("--d must be at least 1")
-    if args.size < 2:
-        parser.error("--N must be at least 2")
+    if args.size < MIN_SIZE:
+        parser.error(f"--N must be at least {MIN_SIZE}")
     if args.seed < 0:
         parser.error("--seed must be non-negative")
     if needed := matrices.dense_excess(args.size, args.dim):  # the experiments flatten
@@ -156,8 +133,7 @@ def _run_command(args, parser: _Parser) -> int:
 
     names = (experiment_names() if args.experiment == "all"
              else (args.experiment,))
-    config = ExperimentConfig(dim=args.dim, size=args.size, seed=args.seed,
-                              tolerances=tolerances)
+    config = ExperimentConfig(dim=args.dim, size=args.size, seed=args.seed)
     all_passed = True
     for name in names:
         try:

@@ -11,8 +11,8 @@ a run in check mode is a self-test of the library on live instances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -28,7 +28,7 @@ __all__ = [
     "Table",
     "ExperimentResult",
     "REGISTRY",
-    "TOLERANCE_KEYS",
+    "MIN_SIZE",
     "experiment_names",
     "run_experiment",
 ]
@@ -36,7 +36,10 @@ __all__ = [
 IDENTITY_TOLERANCE = 1e-9
 BOUND_SLACK = 1e-8
 
-TOLERANCE_KEYS = ("profile",)  # the keys ExperimentConfig.tolerances may set
+# norm-identities draws toeplitz matrices on this band, the widest fixed band of
+# any experiment; a truncation of size N holds offsets up to N - 1
+WIENER_BAND = range(-3, 4)
+MIN_SIZE = WIENER_BAND[-1] + 1
 
 
 @dataclass(frozen=True)
@@ -46,7 +49,6 @@ class ExperimentConfig:
     dim: int = 2
     size: int = 16
     seed: int = 0
-    tolerances: Mapping[str, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -127,7 +129,7 @@ def norm_identities(config: ExperimentConfig) -> ExperimentResult:
     wiener_margin = 0.0
     for trial, rng in enumerate(_spawned_rngs(config.seed, trials)):
         t = matrices.random_toeplitz(config.size, config.dim, rng,
-                                     range(-3, 4), decay=0.6)
+                                     WIENER_BAND, decay=0.6)
         gap = float(norms.op_norm(t)) - norms.wiener_norm(t)
         rows.append(("wiener_dominates", trial, float(norms.op_norm(t)),
                      norms.wiener_norm(t), max(gap, 0.0)))
@@ -240,15 +242,10 @@ def sigma_profiles(config: ExperimentConfig) -> ExperimentResult:
     fejer = kernels.fejer_family()
     rng = _spawned_rngs(config.seed, 1)[0]
     banded = matrices.random_banded(32, config.dim, rng, (0, 1), decay=0.5)
-    banded_profile = analysis.smoothing_profile(
-        banded, fejer, SIGMA_ORDERS,
-        tolerance=config.tolerances.get("profile"),
-    )
+    banded_profile = analysis.smoothing_profile(banded, fejer, SIGMA_ORDERS)
     dilation = dilation_matrix(64, config.dim)
     dilation_profile = analysis.smoothing_profile(
-        dilation, fejer, DILATION_ORDERS,
-        tolerance=config.tolerances.get("profile"),
-    )
+        dilation, fejer, DILATION_ORDERS)
     rows = []
     for name, profile in (("banded", banded_profile),
                           ("dilation", dilation_profile)):
@@ -392,10 +389,7 @@ def hinf_profile(config: ExperimentConfig) -> ExperimentResult:
         closed = OperatorBlock(np.eye(dim, dtype=complex) / (1.0 - z / 2.0))
         closed_err = max(closed_err, (evaluated - closed).norm())
 
-    profile = analysis.boundary_profile(
-        geometric, HINF_RADII,
-        tolerance=config.tolerances.get("profile"),
-    )
+    profile = analysis.boundary_profile(geometric, HINF_RADII)
     reference = float(norms.op_norm(geometric))
     boundary_rows = tuple(
         (radius, sup, distance)

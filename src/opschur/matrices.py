@@ -232,15 +232,11 @@ class BlockMatrix:
         Derived from content, so the answer cannot disagree with the
         stored entries.
         """
-        cached = self._cache.get("upper")
-        if cached is None:
-            cached = not any(
-                np.any(self._run(offset))
-                for offset in self.diagonal_support()
-                if offset < 0
-            )
-            self._cache["upper"] = cached
-        return cached
+        return not any(
+            np.any(self._run(offset))
+            for offset in self.diagonal_support()
+            if offset < 0
+        )
 
     def entry(self, k: int, j: int) -> OperatorBlock:
         """Block at row ``k``, column ``j`` (0-based)."""

@@ -207,10 +207,12 @@ class TestSmoothingProfile:
         assert profile.tolerance == pytest.approx(1e-3 * float(op_norm(a)))
         assert profile.reference_norm == pytest.approx(float(op_norm(a)))
 
-    def test_explicit_tolerance_respected(self):
+    def test_explicit_tolerance_respected(self, monkeypatch):
         rng = np.random.default_rng(8)
         a = random_banded(16, 2, rng, (0, 1))
-        profile = smoothing_profile(a, fejer_family(), (1, 2), tolerance=5.0)
+        # the relative tolerance whose product with this norm is exactly 5.0
+        monkeypatch.setattr(analysis, "RELATIVE_PROFILE_TOLERANCE", 5.0 / op_norm(a).value)
+        profile = smoothing_profile(a, fejer_family(), (1, 2))
         assert profile.tolerance == 5.0
         assert profile.converged and profile.threshold_index == 1.0
 

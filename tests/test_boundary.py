@@ -112,8 +112,6 @@ ROWS = {
     "banded-decay-string": lambda: random_banded(4, 2, 0, (0, 1), decay="x"),
     "allclose-tol-string": lambda: allclose(A, A, tol="x"),
     "allclose-tol-none": lambda: allclose(A, A, tol=None),
-    "profile-tolerance-string":
-        lambda: smoothing_profile(A, fejer_family(), [1], tolerance="x"),
     "axiom-delta-string": lambda: kernel_axiom_check(fejer_family(), [1], deltas=["x"]),
     # complex scalars
     "analytic-eval-none": lambda: analytic_eval(A, None),

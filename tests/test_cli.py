@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from opschur import cli, matrices
+from opschur import analysis, cli, matrices
 from opschur.matrices import DENSE_BYTES_LIMIT, random_toeplitz
 
 from test_serialize import MALFORMED, UNDECODABLE, _toeplitz_payload
@@ -55,23 +55,31 @@ class TestRun:
                          "--check", "--out", str(tmp_path / "out"))
         assert result.returncode == 0
 
-    def test_check_mode_fails_on_forced_tolerance(self, tmp_path):
-        # an impossible profile tolerance turns a convergence assertion red
-        result = run_cli("run", "--experiment", "sigma-profiles", "--check",
-                         "--tolerance", "profile=1e-12",
-                         "--out", str(tmp_path / "out"))
-        assert result.returncode == 3
-        assert "FAILED" in result.stdout
+    def test_smallest_size_passes_every_check(self, tmp_path):
+        # the size floor admits every experiment's fixed bands
+        assert cli.main(["run", "--experiment", "all", "--N", "4", "--d", "1", "--check",
+                         "--format", "json", "--out", str(tmp_path / "out")]) == 0
 
-    def test_check_mode_names_failed_assertions(self, tmp_path):
+    def test_check_mode_fails_on_forced_tolerance(self, tmp_path, monkeypatch, capsys):
+        # an impossible profile tolerance turns a convergence assertion red
+        monkeypatch.setattr(analysis, "RELATIVE_PROFILE_TOLERANCE", 1e-12)
+        returncode = cli.main(["run", "--experiment", "sigma-profiles", "--check",
+                               "--out", str(tmp_path / "out")])
+        assert returncode == 3
+        assert "FAILED" in capsys.readouterr().out
+
+    def test_check_mode_names_failed_assertions(self, tmp_path, monkeypatch, capsys):
         # stderr names each failed assertion; stdout and the files are unchanged
-        args = ("run", "--experiment", "sigma-profiles", "--tolerance", "profile=1e-12")
-        plain = run_cli(*args, "--out", str(tmp_path / "plain"))
-        check = run_cli(*args, "--check", "--out", str(tmp_path / "check"))
-        assert check.returncode == 3
-        assert check.stderr == "banded_converges: threshold None\n"
-        assert plain.stderr == ""
-        assert check.stdout == plain.stdout
+        monkeypatch.setattr(analysis, "RELATIVE_PROFILE_TOLERANCE", 1e-12)
+        args = ["run", "--experiment", "sigma-profiles"]
+        assert cli.main(args + ["--out", str(tmp_path / "plain")]) == 0
+        plain = capsys.readouterr()
+        check_code = cli.main(args + ["--check", "--out", str(tmp_path / "check")])
+        check = capsys.readouterr()
+        assert check_code == 3
+        assert check.err == "banded_converges: threshold None\n"
+        assert plain.err == ""
+        assert check.out == plain.out
         for path in sorted((tmp_path / "plain").iterdir()):
             assert path.read_bytes() == (tmp_path / "check" / path.name).read_bytes()
 
@@ -89,35 +97,24 @@ class TestConfigErrors:
         assert result.returncode == 1
         assert "invalid choice" in result.stderr
 
-    def test_bad_tolerance_value(self):
-        result = run_cli("run", "--tolerance", "profile=abc")
+    def test_tolerance_flag_is_gone(self, tmp_path):
+        result = run_cli("run", "--experiment", "sigma-profiles",
+                         "--tolerance", "profile=1e-3", "--out", str(tmp_path / "out"))
         assert result.returncode == 1
-        assert "not a number" in result.stderr
-
-    @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_non_finite_tolerance(self, value, tmp_path):
-        result = run_cli("run", "--experiment", "sigma-profiles", "--check",
-                         "--tolerance", f"profile={value}",
-                         "--out", str(tmp_path / "out"))
-        assert result.returncode == 1
-        assert "'profile' must be finite and positive" in result.stderr
+        assert "unrecognized arguments" in result.stderr
         assert not (tmp_path / "out").exists()
-
-    def test_unknown_tolerance_key(self, tmp_path):
-        result = run_cli("run", "--experiment", "kernel-axioms",
-                         "--tolerance", "bogus=1", "--out", str(tmp_path / "out"))
-        assert result.returncode == 1
-        assert "unknown --tolerance key 'bogus'" in result.stderr
-        assert not (tmp_path / "out").exists()
-
-    def test_bad_tolerance_shape(self):
-        result = run_cli("run", "--tolerance", "profile")
-        assert result.returncode == 1
-        assert "KEY=VALUE" in result.stderr
 
     def test_bad_size(self):
         result = run_cli("run", "--N", "1")
         assert result.returncode == 1
+
+    def test_size_below_the_widest_band_is_refused(self, tmp_path):
+        # norm-identities draws offsets up to 3, which a size of 3 cannot hold
+        result = run_cli("run", "--N", "3", "--out", str(tmp_path / "out"))
+        assert result.returncode == 1
+        assert "--N must be at least 4" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_size_over_the_dense_limit_is_refused(self, tmp_path, monkeypatch):
         # 16 (N d)^2 = 16384 bytes at the default N=16, d=2

@@ -1,5 +1,6 @@
 import pytest
 
+from opschur import analysis
 from opschur.experiments import (
     REGISTRY,
     ExperimentConfig,
@@ -49,8 +50,9 @@ def test_kernel_axioms_expected_failure_is_flagged():
     assert result.passed
 
 
-def test_sigma_profiles_tolerance_override_changes_verdict():
-    strict = sigma_profiles(ExperimentConfig(tolerances={"profile": 1e-12}))
+def test_sigma_profiles_tolerance_override_changes_verdict(monkeypatch):
+    monkeypatch.setattr(analysis, "RELATIVE_PROFILE_TOLERANCE", 1e-12)
+    strict = sigma_profiles(ExperimentConfig())
     verdicts = {a.name: a.passed for a in strict.assertions}
     assert not verdicts["banded_converges"]
     assert not strict.passed
