@@ -4,8 +4,9 @@ Every estimator returns a :class:`NormEstimate`: the value, the kind
 (``exact_svd``, ``lanczos`` or ``shift_invert`` from :func:`op_norm`,
 ``grid_max`` from :func:`symbol_sup_norm`, ``sampled_lower_bound`` from
 the multiplier and coefficient-action bounds) and, where available, a
-certificate that witnesses the value.  Multiplier norms are never
-reported as exact.
+certificate that witnesses the value.  The finish of a large toeplitz
+norm starts at a windowed wave at its symbol's peak, with no Krylov
+step.  Multiplier norms are never reported as exact.
 :func:`power_iteration` stays public only because the benchmark traces it.
 """
 
@@ -23,6 +24,7 @@ from .errors import NonConvergenceError, StructureError
 from .kernels import _spawned_rngs, modulation_mask, torus_grid
 from .matrices import (
     DENSE,
+    TOEPLITZ,
     BlockMatrix,
     _gaussian,
     adjoint,
@@ -50,15 +52,18 @@ EXACT_SVD_LIMIT = 512
 POWER_TOLERANCE = 1e-8
 POWER_ITERATION_CAP = 10**4
 
-# Lanczos tests its first _HANDOFF_STEPS steps one by one, and banded and
-# toeplitz matrices get no more before the shift-and-invert finish.  On
-# smooth-symbol toeplitz matrices (N = 4096, d = 2, half-widths b = 8..21;
-# 2 vCPUs, 1 BLAS thread, best of 5) super-blocks of b block rows took
-# 0.22-0.49 s against 0.40-0.90 s for 2b rows; 2b was faster only for
-# b <= 4 (0.23 against 0.35 s at b = 4), where the 4-row floor applies.
-# Two, three and four solves per factorization were within noise; three
-# are kept.  The finish holds about _FINISH_ARRAYS arrays of super-blocks
-# at once: the band of A* A, its upper neighbours and the Cholesky factors.
+# Lanczos tests its first _HANDOFF_STEPS steps one by one, and an admitted
+# banded matrix gets no more before the shift-and-invert finish; an
+# admitted toeplitz one skips Lanczos and starts the finish at its
+# symbol's peak.  The super-block and solve counts below were measured on
+# smooth-symbol toeplitz matrices when they still took the Lanczos hand-off
+# (N = 4096, d = 2, half-widths b = 8..21; 2 vCPUs, 1 BLAS thread, best
+# of 5): super-blocks of b block rows took 0.22-0.49 s against 0.40-0.90 s
+# for 2b rows; 2b was faster only for b <= 4 (0.23 against 0.35 s at
+# b = 4), where the 4-row floor applies.  Two, three and four solves per
+# factorization were within noise; three are kept.  The finish holds about
+# _FINISH_ARRAYS arrays of super-blocks at once: the band of A* A, its
+# upper neighbours and the Cholesky factors.
 _HANDOFF_STEPS = 32
 _SOLVES_PER_FACTORIZATION = 3
 _FACTORIZATION_CAP = 32
@@ -71,6 +76,13 @@ _RESIDUAL_TOLERANCE = 0.1 * POWER_TOLERANCE
 SUP_REFINEMENT_TOLERANCE = 1e-6
 SUP_GRID_CAP = 2**16
 
+# A toeplitz symbol's peak: a coarse grid of _PEAK_POINTS (n + 1) angles,
+# then _PEAK_ROUNDS local grids of 2 _PEAK_SPLIT + 1 angles over +-step,
+# each round dividing the step by _PEAK_SPLIT.
+_PEAK_POINTS = 64
+_PEAK_ROUNDS = 4
+_PEAK_SPLIT = 32
+
 
 @dataclass(frozen=True)
 class NormEstimate:
@@ -80,7 +92,8 @@ class NormEstimate:
     :func:`op_norm`), ``grid_max`` (from :func:`symbol_sup_norm`) or
     ``sampled_lower_bound``.  ``iterations`` counts the Lanczos products
     with ``A* A`` and, for ``shift_invert``, the inverse-iteration
-    solves after them; ``samples`` counts the sampled trials, and
+    solves after them (a toeplitz finish started at its symbol's peak
+    has no Lanczos products); ``samples`` counts the sampled trials, and
     ``grid_points`` the final torus grid of a ``grid_max``.  A
     ``shift_invert`` estimate went through factorizations of ``s I -
     A* A`` whose completion proved ``|A|^2 < s``; ``value`` is still
@@ -156,13 +169,20 @@ def op_norm(a: BlockMatrix) -> NormEstimate:
     for the unit certificate ``v``, whatever the storage: the one
     product with ``A`` itself.
 
-    An admitted band gets 32 Krylov steps.  If the rule has not held by
-    then, the top Ritz vector is finished by inverse iteration on ``s I
-    - A* A`` (kind ``shift_invert``), factored as a block-tridiagonal
+    An admitted banded matrix gets 32 Krylov steps.  If the rule has not
+    held by then, the top Ritz vector is finished by inverse iteration on
+    ``s I - A* A`` (kind ``shift_invert``), factored as a block-tridiagonal
     Cholesky of the same super-blocks.  A factorization that completes
     proves ``|A|^2 < s``, so the iteration converges to the top singular
     vector; the value and certificate keep the same meaning and rule.
     Dense matrices and wider bands get ``EXACT_SVD_LIMIT`` steps.
+
+    An admitted toeplitz band takes no Krylov step: the finish starts
+    from a windowed wave at the peak of its symbol ``a(t) = sum_l T_l
+    e^{i l t}`` (see :func:`_peak_witness`), a near-maximizing vector
+    since ``|A| <= sup_t |a(t)|``.  A wider toeplitz band takes the
+    Lanczos path above.
+
     Whatever does not converge takes the exact path while its dense
     form fits ``matrices.DENSE_BYTES_LIMIT``.  When ``A* A`` would over-
     or underflow, as its first product shows (or :func:`apply` refuses
@@ -192,8 +212,12 @@ def op_norm(a: BlockMatrix) -> NormEstimate:
         estimate = op_norm(a * 2.0**-k)
         return replace(estimate, value=_result("vector norm", lambda: apply(
             a, estimate.certificate).norm()))
-    steps = EXACT_SVD_LIMIT if band is None else _HANDOFF_STEPS
-    vector, iterations, converged = _lanczos(gram, start, first, steps)
+    if a.structure == TOEPLITZ and band is not None:  # the finish starts at the symbol's peak
+        vector, iterations, converged = _peak_witness(a), 0, False
+        cap, method = _FACTORIZATION_CAP, "shift-and-invert"
+    else:
+        cap, method = EXACT_SVD_LIMIT if band is None else _HANDOFF_STEPS, "lanczos"
+        vector, iterations, converged = _lanczos(gram, start, first, cap)
     kind = "lanczos"
     if not converged and band is not None:
         with suppress(NonConvergenceError):  # a failed finish falls back like Lanczos
@@ -201,7 +225,7 @@ def op_norm(a: BlockMatrix) -> NormEstimate:
             kind, converged = "shift_invert", True
     if not converged:
         if needed := dense_excess(a.size, a.dim):
-            raise NonConvergenceError(steps, f"lanczos; the exact path needs {needed} bytes")
+            raise NonConvergenceError(cap, f"{method}; the exact path needs {needed} bytes")
         return _exact_estimate(a)
     certificate = BlockVector.from_flat(vector, a.dim)
     return NormEstimate(value=apply(a, certificate).norm(), kind=kind,
@@ -321,18 +345,21 @@ def _gram_product(band: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndar
 
 def _shift_invert(band: tuple[np.ndarray, np.ndarray], v: np.ndarray,
                   iterations: int) -> tuple[np.ndarray, int]:
-    """Finish Lanczos on a banded or toeplitz matrix by inverse iteration.
+    """Finish a Lanczos or symbol-peak start vector by inverse iteration.
 
     ``band`` holds the super-blocks of ``A* A`` (see
     :func:`_gram_superblocks`).  Each round factors ``s I - A* A`` at
-    ``s = theta + 2 r``, from the Rayleigh quotient ``theta = v* A* A
-    v`` and the residual ``r = |A* A v - theta v|``: one
-    :func:`_gram_product` with ``band``.  A factorization that fails
-    proves nothing and is retried with four times the increment.  A
-    completed one proves ``|A|^2 < s``, so solving with it pulls ``v``
-    toward the top singular vector; up to ``_SOLVES_PER_FACTORIZATION``
-    solves follow, until ``r`` meets the Lanczos rule.  Returns the unit
-    vector and ``iterations`` plus the solves.
+    ``s = theta + max(2 r, 0.1 * POWER_TOLERANCE * theta)``, from the
+    Rayleigh quotient ``theta = v* A* A v`` and the residual ``r = |A* A
+    v - theta v|``: one :func:`_gram_product` with ``band``.  A
+    factorization that fails proves nothing and is retried with four
+    times the increment.  A completed one proves ``|A|^2 < s``, so
+    solving with it pulls ``v`` toward the top singular vector; up to
+    ``_SOLVES_PER_FACTORIZATION`` solves follow, until ``r`` meets the
+    Lanczos rule.  At least one factorization completes, even for a
+    start ``v`` that already meets the rule, so the returned vector is
+    proved to be the top one.  Returns the unit vector and
+    ``iterations`` plus the solves.
 
     Raises
     ------
@@ -347,8 +374,8 @@ def _shift_invert(band: tuple[np.ndarray, np.ndarray], v: np.ndarray,
 
     theta, residual = measure(v)
     factorizations = 0
-    while residual > _RESIDUAL_TOLERANCE * theta:
-        increment = 2 * residual
+    while not factorizations or residual > _RESIDUAL_TOLERANCE * theta:
+        increment = max(2 * residual, _RESIDUAL_TOLERANCE * theta)
         factors = None
         while factors is None:
             if factorizations == _FACTORIZATION_CAP:
@@ -451,6 +478,36 @@ def _exact_estimate(a: BlockMatrix) -> NormEstimate:
     _, s, vh = singular_triples(a.flatten())
     certificate = BlockVector.from_flat(vh[0].conj(), a.dim)
     return NormEstimate(value=float(s[0]), kind="exact_svd", certificate=certificate)
+
+
+def _peak_witness(a: BlockMatrix) -> np.ndarray:
+    """Unit flat start vector for the finish of a toeplitz ``A``.
+
+    ``A`` holds ``T_l`` on diagonal ``l``, so for ``x_j = w_j e^{i j t} u``
+    with a slowly varying window ``w`` it gives ``(A x)_k ~ e^{i k t}
+    a(t) u w_k``.  The window is ``w_j = sin(pi (j + 1) / (N + 1))``,
+    ``t`` the peak of ``|a(t)|`` and ``u`` the top right singular vector
+    of ``a(t)``.  The peak is the best of ``_PEAK_POINTS (n + 1)``
+    uniform angles, for ``n`` half the stored band width, refined by
+    ``_PEAK_ROUNDS`` local grids.  Only an admitted band comes here, and
+    admission keeps ``d (hi - lo)`` below ``EXACT_SVD_LIMIT /
+    _FINISH_ARRAYS``, so every grid is small.
+    """
+    offsets = np.array(a.diagonal_support())
+    coeffs = np.stack([a.diagonal_run(l)[0] for l in offsets])
+    points = _PEAK_POINTS * ((offsets[-1] - offsets[0] + 1) // 2 + 1)
+    step = 2 * np.pi / points
+    angles = step * np.arange(points)
+    for _ in range(_PEAK_ROUNDS + 1):
+        values = np.tensordot(np.exp(np.multiply.outer(1j * angles, offsets)), coeffs, axes=1)
+        q = int(np.argmax(np.linalg.norm(values, ord=2, axis=(1, 2))))
+        angle, peak = angles[q], values[q]
+        angles = angle + step * np.linspace(-1, 1, 2 * _PEAK_SPLIT + 1)
+        step /= _PEAK_SPLIT
+    top = np.linalg.svd(peak)[2][0].conj()
+    rows = np.arange(a.size)
+    parts = np.outer(np.sin(np.pi * (rows + 1) / (a.size + 1)) * np.exp(1j * angle * rows), top)
+    return parts.reshape(-1) / np.linalg.norm(parts)
 
 
 def wiener_norm(a: BlockMatrix) -> float:

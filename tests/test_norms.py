@@ -102,12 +102,15 @@ class TestLanczos:
         assert estimate.kind == "lanczos"
         assert abs(estimate.value - exact) <= 1e-8 * exact
         assert apply(block_diagonal, estimate.certificate).norm() == estimate.value
+        # the symbol diag(3, e^{it}) peaks at every angle: the wave at its
+        # peak is a top singular vector, proved by one factorization
         estimate = op_norm(toeplitz)
-        assert estimate.kind == "lanczos"
+        assert estimate.kind == "shift_invert"
+        assert estimate.iterations == 1
         assert estimate.value == pytest.approx(3.0, rel=1e-8)
         assert apply(toeplitz, estimate.certificate).norm() == estimate.value
 
-    def test_clustered_top_pair(self):
+    def test_clustered_top_pair(self, monkeypatch):
         # a smooth toeplitz symbol: the top singular values of its
         # truncation crowd together, where power iteration stalls
         rng = np.random.default_rng(13)
@@ -119,12 +122,22 @@ class TestLanczos:
         )
         singular = np.linalg.svd(flatten_reference(a.blocks()), compute_uv=False)
         assert 1e-4 < (singular[0] - singular[1]) / singular[0] < 1e-3
+        monkeypatch.setattr(norms, "_lanczos", _refuse("Lanczos run"))
+        # the finish starts at the symbol's peak, not from Lanczos
         estimate = op_norm(a)
         assert estimate.kind == "shift_invert"
         assert abs(estimate.value - singular[0]) <= 1e-8 * singular[0]
+        _prove_upper_side(a, estimate.value)
 
     def test_breakdown_on_identity(self):
+        # toeplitz storage starts the finish at its symbol's peak
         estimate = op_norm(BlockMatrix.identity(300, 2))
+        assert estimate.kind == "shift_invert"
+        assert estimate.value == pytest.approx(1.0, rel=1e-12)
+        assert estimate.iterations == 1
+        # banded storage takes Lanczos, which breaks down at once
+        a = BlockMatrix.banded({0: np.broadcast_to(np.eye(2), (300, 2, 2))}, 300)
+        estimate = op_norm(a)
         assert estimate.kind == "lanczos"
         assert estimate.value == pytest.approx(1.0, rel=1e-12)
         assert estimate.iterations == 1
@@ -135,12 +148,15 @@ class TestLanczos:
         assert estimate.value == 0.0
 
     @pytest.mark.parametrize("scale", [1e200, 1e-160, 1e-200])
-    @pytest.mark.parametrize("structure", ["banded", "dense"])
+    @pytest.mark.parametrize("structure", ["banded", "dense", "toeplitz"])
     def test_entries_out_of_square_range(self, structure, scale):
         # A* A over- or underflows: the norm comes from a * 2^-k
         if structure == "banded":
             a = BlockMatrix.banded({0: np.full((600, 1, 1), scale),
                                     1: np.full((599, 1, 1), scale)}, 600)
+        elif structure == "toeplitz":
+            a = BlockMatrix.toeplitz({0: np.full((1, 1), scale),
+                                      1: np.full((1, 1), scale)}, 600)
         else:
             a = BlockMatrix.dense(np.full((300, 300, 2, 2), scale))
         estimate = op_norm(a)
@@ -179,6 +195,19 @@ class TestLanczos:
 def _smooth_toeplitz(size):
     # smooth symbol: past N ~ 500 plain Lanczos needed hundreds of steps
     return random_toeplitz(size, 2, np.random.default_rng(1), range(-2, 3), decay=0.5)
+
+
+def _refuse(what):
+    def refuse(*args):
+        raise AssertionError(what)
+
+    return refuse
+
+
+def _prove_upper_side(a, value):
+    # completing the factorization of c I - A* A proves |A|^2 < c
+    band = norms._gram_superblocks(a, norms._superblock_rows(a))
+    norms._block_cholesky(*band, (value * (1 + POWER_TOLERANCE)) ** 2)
 
 
 class TestShiftInvert:
@@ -270,6 +299,56 @@ class TestShiftInvert:
         witnessed = apply(a, estimate.certificate).norm()
         assert witnessed == estimate.value
         assert estimate.value <= wiener_norm(a)
+
+    def test_band_of_forty_two_at_4096(self, monkeypatch):
+        # offsets 0..42, the widest band admitted at N = 4096: the finish
+        # starts at the symbol's peak and needs no Lanczos
+        a = random_toeplitz(4096, 2, np.random.default_rng(1), range(0, 43), decay=0.5)
+        monkeypatch.setattr(norms, "_lanczos", _refuse("Lanczos run"))
+        estimate = op_norm(a)
+        assert estimate.kind == "shift_invert"
+        assert estimate.iterations <= 8
+        assert apply(a, estimate.certificate).norm() == estimate.value
+        _prove_upper_side(a, estimate.value)
+
+    def test_large_smooth_symbol_needs_no_lanczos(self, monkeypatch):
+        # offsets -2..2 at N = 2^16: clustered top singular values, yet the
+        # wave at the symbol's peak is close enough for one solve
+        a = _smooth_toeplitz(2**16)
+        monkeypatch.setattr(norms, "_lanczos", _refuse("Lanczos run"))
+        estimate = op_norm(a)
+        assert estimate.kind == "shift_invert"
+        assert estimate.iterations <= 8
+        assert apply(a, estimate.certificate).norm() == estimate.value
+        _prove_upper_side(a, estimate.value)
+
+    def test_peak_witness_is_near_the_norm(self):
+        a = _smooth_toeplitz(400)
+        witness = BlockVector.from_flat(norms._peak_witness(a), 2)
+        assert witness.norm() == pytest.approx(1.0, abs=1e-12)
+        oracle = spectral_norm(a.flatten())
+        assert oracle * (1 - 1e-4) <= apply(a, witness).norm() <= oracle * (1 + 1e-12)
+
+    def test_converged_start_is_still_proved(self, monkeypatch):
+        # a start that already meets the residual rule is factored once
+        a = BlockMatrix.banded({0: np.broadcast_to(np.diag([2.0, 1.0]), (300, 2, 2))}, 300)
+        factor = norms._block_cholesky
+        shifts = []
+
+        def counted(diag, upper, shift):
+            shifts.append(shift)
+            return factor(diag, upper, shift)
+
+        monkeypatch.setattr(norms, "_block_cholesky", counted)
+        start = np.zeros(a.flat_size, dtype=complex)
+        start[0] = 1.0
+        band = norms._gram_superblocks(a, norms._superblock_rows(a))
+        vector, iterations = norms._shift_invert(band, start, 0)
+        assert len(shifts) == 1
+        assert shifts[0] > 4.0
+        assert iterations == 1
+        value = apply(a, BlockVector.from_flat(vector, 2)).norm()
+        assert value == pytest.approx(2.0, rel=1e-12)
 
     def test_failed_factorization_retries_a_larger_shift(self, monkeypatch):
         # a random start lies far below the top: the first shift fails
